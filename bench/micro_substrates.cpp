@@ -23,6 +23,8 @@
 namespace mmm {
 namespace {
 
+// The integrity kernels dispatch on CPU features (common/simd.h); run with
+// MMM_SIMD=scalar to measure the portable kernels on the same host.
 void BM_Sha256(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0xa5);
   for (auto _ : state) {
@@ -30,8 +32,32 @@ void BM_Sha256(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Sha256)->Arg(1 << 10)->Arg(20 << 10)->Arg(1 << 20);
+// 32 KiB is one average CAS chunk (the chunk-key hash).
+BENCHMARK(BM_Sha256)->Arg(1 << 10)->Arg(20 << 10)->Arg(32 << 10)->Arg(1 << 20);
 
+// A model set's per-layer hashes: 48 same-length streams of 20 KiB.
+void BM_Sha256HashMany(benchmark::State& state) {
+  const size_t count = static_cast<size_t>(state.range(0));
+  const size_t length = static_cast<size_t>(state.range(1));
+  std::vector<std::vector<uint8_t>> data(count);
+  std::vector<const uint8_t*> streams(count);
+  for (size_t i = 0; i < count; ++i) {
+    data[i].assign(length, static_cast<uint8_t>(i));
+    streams[i] = data[i].data();
+  }
+  std::vector<Sha256Digest> digests(count);
+  for (auto _ : state) {
+    Sha256HashMany(streams.data(), length, count, digests.data());
+    benchmark::DoNotOptimize(digests.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<int64_t>(count * length));
+}
+BENCHMARK(BM_Sha256HashMany)->Args({48, 20 << 10});
+
+// Span sizes the decoders pass to Crc32::Extend: small bias and header
+// spans (64 B, 1 KiB), one layer's weights (20 KiB) and a whole blob.
 void BM_Crc32(benchmark::State& state) {
   std::vector<uint8_t> data(static_cast<size_t>(state.range(0)), 0x5a);
   for (auto _ : state) {
@@ -39,7 +65,7 @@ void BM_Crc32(benchmark::State& state) {
   }
   state.SetBytesProcessed(state.iterations() * state.range(0));
 }
-BENCHMARK(BM_Crc32)->Arg(1 << 20);
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(1 << 10)->Arg(20 << 10)->Arg(1 << 20);
 
 void BM_EncodeParamBlob(benchmark::State& state) {
   ModelSet set =

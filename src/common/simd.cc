@@ -6,6 +6,7 @@
 #include "common/env_config.h"
 
 #if defined(__x86_64__)
+#include <cpuid.h>
 #include <immintrin.h>
 #endif
 
@@ -13,23 +14,54 @@ namespace mmm {
 
 namespace {
 
-SimdLevel DetectSimdLevel() {
+// The detected dispatch state packed into one int so a single relaxed
+// load serves both ActiveSimdLevel() and ActiveSimdFeatures(): bits 0-1
+// hold the level, the bits above it the feature flags.
+constexpr int kLevelMask = 0x3;
+constexpr int kPclmulBit = 1 << 2;
+constexpr int kSse41Bit = 1 << 3;
+constexpr int kShaBit = 1 << 4;
+
+int DetectDispatchState() {
 #if defined(__x86_64__)
   SimdLevel best = SimdLevel::kSse2;  // baseline for every x86-64 CPU
+  int features = 0;
 #if defined(__GNUC__)
   __builtin_cpu_init();
   if (__builtin_cpu_supports("avx2")) best = SimdLevel::kAvx2;
+  if (__builtin_cpu_supports("pclmul")) features |= kPclmulBit;
+  if (__builtin_cpu_supports("sse4.1")) features |= kSse41Bit;
+  // __builtin_cpu_supports has no "sha" key on every supported compiler,
+  // so read CPUID leaf 7 (EBX bit 29) directly.
+  unsigned int eax = 0, ebx = 0, ecx = 0, edx = 0;
+  if (__get_cpuid_max(0, nullptr) >= 7) {
+    __cpuid_count(7, 0, eax, ebx, ecx, edx);
+    if (ebx & (1u << 29)) features |= kShaBit;
+  }
 #endif
 #else
   SimdLevel best = SimdLevel::kScalar;
+  int features = 0;
 #endif
   // MMM_SIMD clamps downward only: tests pin "scalar"/"sse2" to prove
   // bit-exactness across levels; asking for more than the CPU has keeps
-  // the best supported level.
+  // the best supported level. The feature bits follow the clamp: "scalar"
+  // selects the portable kernels, any other level keeps what CPUID has.
   const std::string want = GetEnvString("MMM_SIMD", "");
-  if (want == "scalar") return SimdLevel::kScalar;
-  if (want == "sse2" && best > SimdLevel::kSse2) return SimdLevel::kSse2;
-  return best;
+  if (want == "scalar") return static_cast<int>(SimdLevel::kScalar);
+  if (want == "sse2" && best > SimdLevel::kSse2) best = SimdLevel::kSse2;
+  return static_cast<int>(best) | features;
+}
+
+int DispatchState() {
+  // Detection is idempotent, so a racing first call is harmless.
+  static std::atomic<int> cached{-1};
+  int state = cached.load(std::memory_order_relaxed);
+  if (state < 0) {
+    state = DetectDispatchState();
+    cached.store(state, std::memory_order_relaxed);
+  }
+  return state;
 }
 
 }  // namespace
@@ -47,14 +79,16 @@ const char* SimdLevelName(SimdLevel level) {
 }
 
 SimdLevel ActiveSimdLevel() {
-  // Detection is idempotent, so a racing first call is harmless.
-  static std::atomic<int> cached{-1};
-  int level = cached.load(std::memory_order_relaxed);
-  if (level < 0) {
-    level = static_cast<int>(DetectSimdLevel());
-    cached.store(level, std::memory_order_relaxed);
-  }
-  return static_cast<SimdLevel>(level);
+  return static_cast<SimdLevel>(DispatchState() & kLevelMask);
+}
+
+SimdFeatures ActiveSimdFeatures() {
+  const int state = DispatchState();
+  SimdFeatures features;
+  features.pclmul = (state & kPclmulBit) != 0;
+  features.sse41 = (state & kSse41Bit) != 0;
+  features.sha = (state & kShaBit) != 0;
+  return features;
 }
 
 namespace simd {

@@ -6,8 +6,8 @@
 
 namespace mmm {
 
-/// \brief Runtime-dispatched SIMD substrate for the recovery hot loops
-/// (DESIGN.md §12).
+/// \brief Runtime-dispatched SIMD substrate for the recovery hot loops and
+/// the integrity kernels (DESIGN.md §12).
 ///
 /// Every primitive here is bit-exact with its scalar fallback by
 /// construction: all of them are pure byte moves or integer/bitwise
@@ -23,6 +23,17 @@ namespace mmm {
 /// "sse2", "avx2") — requesting a level the CPU lacks falls back to the
 /// best supported one. The primitives are small enough that per-call
 /// dispatch is a single relaxed atomic load.
+///
+/// The integrity kernels (CRC32 folding in serialize/crc32.cc, SHA-NI in
+/// serialize/sha256.cc) need instruction-set extensions that are not vector
+/// widths: PCLMULQDQ, SSE4.1 and SHA. Their CPUID bits are read in the same
+/// one-time detection and published through ActiveSimdFeatures(). The clamp
+/// maps onto them without a knob of its own: "scalar" turns every feature
+/// off (portable slicing-by-8 CRC32, portable SHA-256 rounds), while "sse2"
+/// and "avx2" keep whatever CPUID reports, since those kernels are 128-bit
+/// and run at either level. A separate switch would only add a combination
+/// nothing needs: the portable kernels are reachable with "scalar", the
+/// hardware ones are bit-exact with them, and tests pin both.
 enum class SimdLevel {
   kScalar = 0,
   kSse2 = 1,
@@ -35,6 +46,17 @@ const char* SimdLevelName(SimdLevel level);
 /// The level the process dispatches to: min(CPU support, MMM_SIMD clamp).
 /// Detected once; cheap to call afterwards.
 SimdLevel ActiveSimdLevel();
+
+/// \brief Extensions the integrity kernels dispatch on. Each flag is true
+/// when CPUID reports it and the active level is above kScalar.
+struct SimdFeatures {
+  bool pclmul = false;  ///< PCLMULQDQ carry-less multiply (CRC32 folding).
+  bool sse41 = false;   ///< SSE4.1 (lane extract/blend in both kernels).
+  bool sha = false;     ///< SHA-NI SHA-256 rounds and message schedule.
+};
+
+/// The feature bits of the active level; detected with ActiveSimdLevel().
+SimdFeatures ActiveSimdFeatures();
 
 namespace simd {
 

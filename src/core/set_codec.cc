@@ -148,15 +148,13 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
   std::optional<ParamBlobStreamDecoder> decoder;
   uint64_t stored_logical = 0;
   std::vector<uint8_t> ready;
-  auto drain = [&]() -> Status {
-    if (ready.empty()) return Status::OK();
+  auto decode = [&](std::span<const uint8_t> bytes) -> Status {
+    if (bytes.empty()) return Status::OK();
     if (!decoder.has_value()) {
       decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
                       std::move(sink));
     }
-    Status status = decoder->Feed(ready);
-    ready.clear();
-    return status;
+    return decoder->Feed(bytes);
   };
   MMM_RETURN_NOT_OK(CasStreamBlob(
       context.file_store, blob_name, context.stream_window_bytes,
@@ -166,10 +164,12 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
       },
       [&](std::span<const uint8_t> window) -> Status {
         MMM_RETURN_NOT_OK(decompressor.Feed(window, &ready));
-        return drain();
+        Status status = decode(ready);
+        ready.clear();
+        return status;
       }));
-  MMM_RETURN_NOT_OK(decompressor.Finish(&ready));
-  MMM_RETURN_NOT_OK(drain());
+  // A shuffled blob's whole payload arrives here, unshuffled in windows.
+  MMM_RETURN_NOT_OK(decompressor.Finish(decode));
   if (!decoder.has_value()) {
     // Empty blob: let the decoder produce the canonical error/result.
     decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),

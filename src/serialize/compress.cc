@@ -12,6 +12,15 @@ constexpr uint8_t kMagic[4] = {'M', 'M', 'Z', '1'};
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
 constexpr size_t kHashBits = 16;
+/// kShuffleLz transposes float32 payloads: one byte plane per float byte.
+constexpr size_t kShuffleStride = 4;
+/// Largest window BlobDecompressor::Finish(sink) hands over at once.
+constexpr size_t kFinishWindow = 65536;
+
+/// The most bytes a valid LZ stream of `stored` bytes can decode to: every
+/// length-extension byte of the token format yields at most 255 output
+/// bytes, so no valid stream expands more than ~256x.
+uint64_t LzExpansionBound(uint64_t stored) { return stored * 256 + 64; }
 
 uint32_t HashWindow(const uint8_t* p) {
   uint32_t v;
@@ -110,9 +119,8 @@ std::vector<uint8_t> LzCompress(std::span<const uint8_t> input) {
 Result<std::vector<uint8_t>> LzDecompress(std::span<const uint8_t> input,
                                           size_t raw_size) {
   // `raw_size` may come from a corrupted header and must not drive
-  // allocation: every extension byte of this token format yields at most
-  // 255 output bytes, so no valid stream expands more than ~256x.
-  if (raw_size > input.size() * 256 + 64) {
+  // allocation beyond what the input could expand to.
+  if (raw_size > LzExpansionBound(input.size())) {
     return Status::Corruption("lz: implausible raw size ", raw_size, " for ",
                               input.size(), " compressed bytes");
   }
@@ -410,9 +418,21 @@ Status BlobDecompressor::Feed(std::span<const uint8_t> data,
     case Mode::kStoredLz:
       status = lz_->Feed(payload, out);
       break;
-    case Mode::kStoredShuffleLz:
+    case Mode::kStoredShuffleLz: {
+      // The planes are held until Finish, so size their buffer from the
+      // header instead of letting it double its way there. The header may
+      // be corrupted, so reserve no more than the payload fed so far could
+      // expand to.
+      payload_fed_ += payload.size();
+      const uint64_t want =
+          std::min<uint64_t>(*raw_size_, LzExpansionBound(payload_fed_));
+      if (want > shuffled_.capacity()) {
+        shuffled_.reserve(std::min<uint64_t>(
+            *raw_size_, std::max<uint64_t>(want, 2 * shuffled_.capacity())));
+      }
       status = lz_->Feed(payload, &shuffled_);
       break;
+    }
   }
   if (!header_.empty()) {
     header_.clear();
@@ -422,7 +442,8 @@ Status BlobDecompressor::Feed(std::span<const uint8_t> data,
   return Status::OK();
 }
 
-Status BlobDecompressor::Finish(std::vector<uint8_t>* out) {
+Result<std::span<const uint8_t>> BlobDecompressor::FinishPayload(
+    std::vector<uint8_t>* out) {
   if (!error_.ok()) return error_;
   switch (mode_) {
     case Mode::kHeader:
@@ -432,28 +453,45 @@ Status BlobDecompressor::Finish(std::vector<uint8_t>* out) {
         return Fail(Status::Corruption("truncated blob header"));
       }
       out->insert(out->end(), header_.begin(), header_.end());
-      return Status::OK();
+      return std::span<const uint8_t>();
     case Mode::kPassthrough:
-      return Status::OK();
+      return std::span<const uint8_t>();
     case Mode::kStoredNone:
       if (emitted_ != *raw_size_) {
         return Fail(Status::Corruption("stored blob size mismatch"));
       }
-      return Status::OK();
-    case Mode::kStoredLz: {
-      Status status = lz_->Finish();
-      if (!status.ok()) return Fail(status);
-      return Status::OK();
-    }
+      return std::span<const uint8_t>();
+    case Mode::kStoredLz:
     case Mode::kStoredShuffleLz: {
       Status status = lz_->Finish();
       if (!status.ok()) return Fail(status);
-      std::vector<uint8_t> raw = UnshuffleBytes(shuffled_, 4);
-      out->insert(out->end(), raw.begin(), raw.end());
-      return Status::OK();
+      if (mode_ == Mode::kStoredLz) return std::span<const uint8_t>();
+      return std::span<const uint8_t>(shuffled_);
     }
   }
   return Status::Internal("unreachable");
+}
+
+Status BlobDecompressor::Finish(std::vector<uint8_t>* out) {
+  MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> planes, FinishPayload(out));
+  const size_t before = out->size();
+  out->resize(before + planes.size());
+  UnshuffleRange(planes, kShuffleStride, 0, planes.size(),
+                 out->data() + before);
+  return Status::OK();
+}
+
+Status BlobDecompressor::Finish(const Sink& sink) {
+  std::vector<uint8_t> window;
+  MMM_ASSIGN_OR_RETURN(std::span<const uint8_t> planes, FinishPayload(&window));
+  if (!window.empty()) return sink(window);  // a short raw legacy blob
+  window.resize(std::min(planes.size(), kFinishWindow));
+  for (size_t begin = 0; begin < planes.size(); begin += window.size()) {
+    const size_t count = std::min(window.size(), planes.size() - begin);
+    UnshuffleRange(planes, kShuffleStride, begin, count, window.data());
+    MMM_RETURN_NOT_OK(sink(std::span<const uint8_t>(window.data(), count)));
+  }
+  return Status::OK();
 }
 
 std::vector<uint8_t> ShuffleBytes(std::span<const uint8_t> input, size_t stride) {
@@ -472,16 +510,40 @@ std::vector<uint8_t> ShuffleBytes(std::span<const uint8_t> input, size_t stride)
 
 std::vector<uint8_t> UnshuffleBytes(std::span<const uint8_t> input,
                                     size_t stride) {
-  if (stride <= 1) return {input.begin(), input.end()};
-  const size_t groups = input.size() / stride;
   std::vector<uint8_t> out(input.size());
-  for (size_t plane = 0; plane < stride; ++plane) {
-    for (size_t g = 0; g < groups; ++g) {
-      out[g * stride + plane] = input[plane * groups + g];
+  UnshuffleRange(input, stride, 0, input.size(), out.data());
+  return out;
+}
+
+void UnshuffleRange(std::span<const uint8_t> input, size_t stride,
+                    size_t begin, size_t count, uint8_t* dst) {
+  const size_t end = begin + count;
+  if (count == 0) return;  // dst may be null, as for an empty vector
+  if (stride <= 1) {
+    std::memcpy(dst, input.data() + begin, count);
+    return;
+  }
+  const size_t groups = input.size() / stride;
+  const size_t body_end = std::min(end, groups * stride);
+  size_t i = begin;
+  const auto one = [&](size_t at) {
+    return input[(at % stride) * groups + at / stride];
+  };
+  // A partial group at the start of the range, then whole groups, then a
+  // partial group and the verbatim tail.
+  for (; i < body_end && i % stride != 0; ++i) *dst++ = one(i);
+  if (stride == kShuffleStride) {
+    const uint8_t* plane0 = input.data();
+    for (; i + 4 <= body_end; i += 4, dst += 4) {
+      const size_t g = i / 4;
+      dst[0] = plane0[g];
+      dst[1] = plane0[groups + g];
+      dst[2] = plane0[2 * groups + g];
+      dst[3] = plane0[3 * groups + g];
     }
   }
-  for (size_t i = groups * stride; i < input.size(); ++i) out[i] = input[i];
-  return out;
+  for (; i < body_end; ++i) *dst++ = one(i);
+  for (; i < end; ++i) *dst++ = input[i];
 }
 
 std::vector<uint8_t> CompressBlob(Compression method,
@@ -502,7 +564,7 @@ std::vector<uint8_t> CompressBlob(Compression method,
       break;
     }
     case Compression::kShuffleLz: {
-      std::vector<uint8_t> shuffled = ShuffleBytes(input, 4);
+      std::vector<uint8_t> shuffled = ShuffleBytes(input, kShuffleStride);
       std::vector<uint8_t> payload = LzCompress(shuffled);
       out.insert(out.end(), payload.begin(), payload.end());
       break;
@@ -537,7 +599,7 @@ Result<std::vector<uint8_t>> DecompressBlob(std::span<const uint8_t> input) {
     case Compression::kShuffleLz: {
       MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> shuffled,
                            LzDecompress(payload, raw_size));
-      return UnshuffleBytes(shuffled, 4);
+      return UnshuffleBytes(shuffled, kShuffleStride);
     }
   }
   return Status::Internal("unreachable");

@@ -2,6 +2,7 @@
 #define MMM_SERIALIZE_COMPRESS_H_
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <span>
 #include <string>
@@ -121,8 +122,14 @@ class LzDecompressor {
 /// because the byte-plane unshuffle is a global transpose (documented
 /// exception — shuffle is sized for float payloads that compress well, so
 /// the buffered plane data is the compressed-side win, not the raw blob).
+/// That plane buffer is reserved once at the header's raw size, capped by
+/// what the payload fed so far could expand to, rather than grown by
+/// doubling.
 class BlobDecompressor {
  public:
+  /// Receives final payload bytes; the span is valid only during the call.
+  using Sink = std::function<Status(std::span<const uint8_t>)>;
+
   BlobDecompressor() = default;
 
   /// Absorbs the next stored-blob chunk, appending decompressed bytes to
@@ -132,6 +139,12 @@ class BlobDecompressor {
   /// Declares end of the stored blob; appends any final bytes to `*out`
   /// (everything, for kShuffleLz) and validates sizes.
   Status Finish(std::vector<uint8_t>* out);
+
+  /// As Finish(out), but hands the final bytes to `sink` in windows of at
+  /// most 64 KiB. A kShuffleLz payload is unshuffled window by window
+  /// straight out of the plane buffer, so a streaming consumer never holds
+  /// a second payload-sized copy.
+  Status Finish(const Sink& sink);
 
   /// Decompressed payload size, known once a framed header has been
   /// parsed; nullopt before that and for raw legacy passthrough (where the
@@ -152,11 +165,17 @@ class BlobDecompressor {
 
   Status Fail(Status status);
 
+  // Finishes validation, appends a raw blob shorter than a header to
+  // `*out`, and returns the kShuffleLz plane data still to be unshuffled
+  // (empty for the other modes).
+  Result<std::span<const uint8_t>> FinishPayload(std::vector<uint8_t>* out);
+
   Mode mode_ = Mode::kHeader;
   Status error_;  // sticky
   std::vector<uint8_t> header_;
   std::optional<uint64_t> raw_size_;
   uint64_t emitted_ = 0;
+  uint64_t payload_fed_ = 0;  // compressed payload bytes seen (kShuffleLz)
   std::optional<LzDecompressor> lz_;
   std::vector<uint8_t> shuffled_;  // kShuffleLz only
   size_t peak_header_ = 0;
@@ -169,6 +188,11 @@ std::vector<uint8_t> ShuffleBytes(std::span<const uint8_t> input, size_t stride)
 /// Inverse of ShuffleBytes.
 std::vector<uint8_t> UnshuffleBytes(std::span<const uint8_t> input,
                                     size_t stride);
+
+/// Writes bytes [begin, begin + count) of UnshuffleBytes(input, stride) to
+/// `dst`, reading only the plane bytes they come from.
+void UnshuffleRange(std::span<const uint8_t> input, size_t stride,
+                    size_t begin, size_t count, uint8_t* dst);
 /// @}
 
 }  // namespace mmm

@@ -115,39 +115,47 @@ double JsonValue::GetDoubleOr(std::string_view key, double fallback) const {
 
 void JsonValue::DumpStringTo(const std::string& value, std::string* out) {
   out->push_back('"');
-  for (char c : value) {
+  // Characters that need no escape are appended a run at a time.
+  size_t run_start = 0;
+  for (size_t i = 0; i < value.size(); ++i) {
+    const char c = value[i];
+    const char* escape = nullptr;
     switch (c) {
       case '"':
-        *out += "\\\"";
+        escape = "\\\"";
         break;
       case '\\':
-        *out += "\\\\";
+        escape = "\\\\";
         break;
       case '\n':
-        *out += "\\n";
+        escape = "\\n";
         break;
       case '\r':
-        *out += "\\r";
+        escape = "\\r";
         break;
       case '\t':
-        *out += "\\t";
+        escape = "\\t";
         break;
       case '\b':
-        *out += "\\b";
+        escape = "\\b";
         break;
       case '\f':
-        *out += "\\f";
+        escape = "\\f";
         break;
       default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(c);
-        }
+        if (static_cast<unsigned char>(c) >= 0x20) continue;
+    }
+    out->append(value, run_start, i - run_start);
+    run_start = i + 1;
+    if (escape != nullptr) {
+      *out += escape;
+    } else {
+      char buf[8];
+      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+      *out += buf;
     }
   }
+  out->append(value, run_start, std::string::npos);
   out->push_back('"');
 }
 

@@ -31,36 +31,25 @@ uint32_t Rotr(uint32_t x, int n) {
   return (x >> (n & 31)) | (x << ((32 - n) & 31));
 }
 
-}  // namespace
-
-std::string Sha256Digest::ToHex() const { return HexEncode(bytes); }
-
-Sha256::Sha256() {
-  state_[0] = 0x6a09e667;
-  state_[1] = 0xbb67ae85;
-  state_[2] = 0x3c6ef372;
-  state_[3] = 0xa54ff53a;
-  state_[4] = 0x510e527f;
-  state_[5] = 0x9b05688c;
-  state_[6] = 0x1f83d9ab;
-  state_[7] = 0x5be0cd19;
+uint32_t LoadBigEndian32(const uint8_t* p) {
+  return (static_cast<uint32_t>(p[0]) << 24) |
+         (static_cast<uint32_t>(p[1]) << 16) |
+         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
-void Sha256::ProcessBlock(const uint8_t* block) {
+/// One block of the FIPS 180-4 compression function, one round at a time.
+void ProcessBlockPortable(uint32_t state[8], const uint8_t* block) {
   uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<uint32_t>(block[i * 4]) << 24) |
-           (static_cast<uint32_t>(block[i * 4 + 1]) << 16) |
-           (static_cast<uint32_t>(block[i * 4 + 2]) << 8) |
-           static_cast<uint32_t>(block[i * 4 + 3]);
+    w[i] = LoadBigEndian32(block + i * 4);
   }
   for (int i = 16; i < 64; ++i) {
     uint32_t s0 = Rotr(w[i - 15], 7) ^ Rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
     uint32_t s1 = Rotr(w[i - 2], 17) ^ Rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
     w[i] = w[i - 16] + s0 + w[i - 7] + s1;
   }
-  uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
+  uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+  uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
   for (int i = 0; i < 64; ++i) {
     uint32_t s1 = Rotr(e, 6) ^ Rotr(e, 11) ^ Rotr(e, 25);
     uint32_t ch = (e & f) ^ (~e & g);
@@ -77,14 +66,100 @@ void Sha256::ProcessBlock(const uint8_t* block) {
     b = a;
     a = temp1 + temp2;
   }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
+  state[0] += a;
+  state[1] += b;
+  state[2] += c;
+  state[3] += d;
+  state[4] += e;
+  state[5] += f;
+  state[6] += g;
+  state[7] += h;
+}
+
+#if defined(__x86_64__)
+
+/// The same compression function on SHA-NI: SHA256RNDS2 runs two rounds,
+/// SHA256MSG1/MSG2 extend the message schedule four words at a time. The
+/// state lives in two registers as {A,B,E,F} and {C,D,G,H}, the layout the
+/// round instruction expects, for the whole run of blocks.
+__attribute__((target("sha,sse4.1"))) void ProcessBlocksShaNi(
+    uint32_t state[8], const uint8_t* blocks, size_t count) {
+  // Byte-swaps each 32-bit word: message words are big-endian.
+  const __m128i bswap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  __m128i dcba = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  __m128i hgfe = _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; count > 0; --count, blocks += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    // w[g & 3] holds schedule words 4g..4g+3 for round group g.
+    __m128i w[4];
+#pragma GCC unroll 16
+    for (int g = 0; g < 16; ++g) {
+      if (g < 4) {
+        w[g] = _mm_shuffle_epi8(
+            _mm_loadu_si128(reinterpret_cast<const __m128i*>(blocks + 16 * g)),
+            bswap);
+      } else {
+        // W[t] = s1(W[t-2]) + W[t-7] + s0(W[t-15]) + W[t-16], t = 4g..4g+3.
+        const __m128i older = w[(g + 2) & 3];  // words 4g-8 .. 4g-5
+        const __m128i last = w[(g + 3) & 3];   // words 4g-4 .. 4g-1
+        __m128i next = _mm_sha256msg1_epu32(w[g & 3], w[(g + 1) & 3]);
+        next = _mm_add_epi32(next, _mm_alignr_epi8(last, older, 4));
+        w[g & 3] = _mm_sha256msg2_epu32(next, last);
+      }
+      const __m128i wk = _mm_add_epi32(
+          w[g & 3],
+          _mm_loadu_si128(
+              reinterpret_cast<const __m128i*>(kRoundConstants + 4 * g)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, _mm_shuffle_epi32(wk, 0x0e));
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  dcba = _mm_blend_epi16(feba, dchg, 0xf0);
+  hgfe = _mm_alignr_epi8(dchg, feba, 8);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state), dcba);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4), hgfe);
+}
+
+#endif  // defined(__x86_64__)
+
+}  // namespace
+
+std::string Sha256Digest::ToHex() const { return HexEncode(bytes); }
+
+Sha256::Sha256() {
+  state_[0] = 0x6a09e667;
+  state_[1] = 0xbb67ae85;
+  state_[2] = 0x3c6ef372;
+  state_[3] = 0xa54ff53a;
+  state_[4] = 0x510e527f;
+  state_[5] = 0x9b05688c;
+  state_[6] = 0x1f83d9ab;
+  state_[7] = 0x5be0cd19;
+}
+
+void Sha256::ProcessBlocks(const uint8_t* blocks, size_t count) {
+#if defined(__x86_64__)
+  const SimdFeatures features = ActiveSimdFeatures();
+  if (features.sha && features.sse41) {
+    ProcessBlocksShaNi(state_, blocks, count);
+    return;
+  }
+#endif
+  for (; count > 0; --count, blocks += 64) {
+    ProcessBlockPortable(state_, blocks);
+  }
 }
 
 void Sha256::Update(std::span<const uint8_t> data) {
@@ -96,14 +171,13 @@ void Sha256::Update(std::span<const uint8_t> data) {
     buffer_size_ += take;
     offset += take;
     if (buffer_size_ == sizeof(buffer_)) {
-      ProcessBlock(buffer_);
+      ProcessBlocks(buffer_, 1);
       buffer_size_ = 0;
     }
   }
-  while (offset + 64 <= data.size()) {
-    ProcessBlock(data.data() + offset);
-    offset += 64;
-  }
+  const size_t full_blocks = (data.size() - offset) / 64;
+  ProcessBlocks(data.data() + offset, full_blocks);
+  offset += full_blocks * 64;
   if (offset < data.size()) {
     std::memcpy(buffer_, data.data() + offset, data.size() - offset);
     buffer_size_ = data.size() - offset;
@@ -116,20 +190,19 @@ void Sha256::Update(std::string_view data) {
 }
 
 Sha256Digest Sha256::Finish() {
-  uint64_t bit_length = total_bytes_ * 8;
-  uint8_t pad = 0x80;
-  Update(std::span<const uint8_t>(&pad, 1));
-  uint8_t zero = 0;
-  while (buffer_size_ != 56) {
-    Update(std::span<const uint8_t>(&zero, 1));
+  const uint64_t bit_length = total_bytes_ * 8;
+  // buffer_size_ < 64 here: Update processes every full block.
+  buffer_[buffer_size_++] = 0x80;
+  if (buffer_size_ > 56) {
+    std::memset(buffer_ + buffer_size_, 0, sizeof(buffer_) - buffer_size_);
+    ProcessBlocks(buffer_, 1);
+    buffer_size_ = 0;
   }
-  uint8_t length_bytes[8];
+  std::memset(buffer_ + buffer_size_, 0, 56 - buffer_size_);
   for (int i = 0; i < 8; ++i) {
-    length_bytes[i] = static_cast<uint8_t>(bit_length >> (56 - 8 * i));
+    buffer_[56 + i] = static_cast<uint8_t>(bit_length >> (56 - 8 * i));
   }
-  // Bypass Update's byte counting for the length suffix.
-  std::memcpy(buffer_ + buffer_size_, length_bytes, 8);
-  ProcessBlock(buffer_);
+  ProcessBlocks(buffer_, 1);
   buffer_size_ = 0;
 
   Sha256Digest digest;
@@ -182,12 +255,6 @@ Sha256Tail BuildSha256Tail(const uint8_t* stream, size_t length) {
     length_bytes[i] = static_cast<uint8_t>(bits >> (56 - 8 * i));
   }
   return tail;
-}
-
-uint32_t LoadBigEndian32(const uint8_t* p) {
-  return (static_cast<uint32_t>(p[0]) << 24) |
-         (static_cast<uint32_t>(p[1]) << 16) |
-         (static_cast<uint32_t>(p[2]) << 8) | static_cast<uint32_t>(p[3]);
 }
 
 // ----- 4-way SSE2 lanes (baseline x86-64, no target attribute needed) -----
@@ -378,7 +445,11 @@ void Sha256HashMany(const uint8_t* const* streams, size_t length,
                     size_t count, Sha256Digest* digests) {
   size_t i = 0;
 #if defined(__x86_64__)
-  const SimdLevel level = ActiveSimdLevel();
+  // One SHA-NI stream outruns the 8-lane AVX2 batch, so with SHA-NI every
+  // stream takes the single-stream path below.
+  const SimdFeatures features = ActiveSimdFeatures();
+  const SimdLevel level =
+      (features.sha && features.sse41) ? SimdLevel::kScalar : ActiveSimdLevel();
   if (level == SimdLevel::kAvx2) {
     for (; i + 8 <= count; i += 8) {
       HashMany8Avx2(streams + i, length, digests + i);

@@ -41,7 +41,9 @@ class Sha256 {
   static Sha256Digest Hash(std::string_view data);
 
  private:
-  void ProcessBlock(const uint8_t* block);
+  /// Runs the compression function over `count` consecutive 64-byte
+  /// blocks: SHA-NI when ActiveSimdFeatures() has it, portable otherwise.
+  void ProcessBlocks(const uint8_t* blocks, size_t count);
 
   uint32_t state_[8];
   uint64_t total_bytes_ = 0;
@@ -57,8 +59,10 @@ class Sha256 {
 /// same-shaped layer per model (core/blob_formats.cc), so independent
 /// streams of identical length are the natural unit: they run in lockstep
 /// SIMD lanes (8-way AVX2 / 4-way SSE2, dispatched via ActiveSimdLevel)
-/// with a scalar loop for the remainder and for non-x86 builds. Integer
-/// rounds only, so every lane width produces identical digests.
+/// with a scalar loop for the remainder and for non-x86 builds. On CPUs
+/// with SHA-NI (ActiveSimdFeatures().sha) each stream is hashed on its own
+/// instead, which is faster than the 8 lanes. Integer rounds only, so every
+/// path produces identical digests.
 void Sha256HashMany(const uint8_t* const* streams, size_t length,
                     size_t count, Sha256Digest* digests);
 

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "core/blob_formats.h"
@@ -181,16 +182,24 @@ TEST(CodecCorruptionTest, CompressedParamBlob) {
 }
 
 /// Feeds `blob` to the incremental BlobDecompressor in `chunk`-sized
-/// pieces, mirroring how stream windows arrive.
+/// pieces, mirroring how stream windows arrive. `windowed` finishes through
+/// the sink overload, as the streaming param decode does.
 Status IncrementalDecompress(std::span<const uint8_t> blob, size_t chunk,
-                             std::vector<uint8_t>* out) {
+                             bool windowed, std::vector<uint8_t>* out) {
   BlobDecompressor decompressor;
   for (size_t i = 0; i < blob.size(); i += chunk) {
     size_t take = std::min(chunk, blob.size() - i);
     Status status = decompressor.Feed(blob.subspan(i, take), out);
     if (!status.ok()) return status;
   }
-  return decompressor.Finish(out);
+  if (!windowed) return decompressor.Finish(out);
+  return decompressor.Finish([out](std::span<const uint8_t> window) {
+    if (window.empty() || window.size() > 64 * 1024) {
+      return Status::Internal("finish window of ", window.size(), " bytes");
+    }
+    out->insert(out->end(), window.begin(), window.end());
+    return Status::OK();
+  });
 }
 
 /// The incremental decompressor must agree with the materializing one on
@@ -202,16 +211,22 @@ Status IncrementalDecompress(std::span<const uint8_t> blob, size_t chunk,
 void CheckIncrementalAgreement(const std::vector<uint8_t>& blob,
                                const std::string& label) {
   Result<std::vector<uint8_t>> materialized = DecompressBlob(blob);
-  for (size_t chunk : {size_t{1}, size_t{7}, size_t{64 * 1024 + 1}}) {
+  // The sink overload of Finish differs only after the last Feed, so one
+  // chunking of it is enough.
+  const std::pair<size_t, bool> runs[] = {
+      {1, false}, {7, false}, {64 * 1024 + 1, false}, {7, true}};
+  for (const auto& [chunk, windowed] : runs) {
     std::vector<uint8_t> incremental;
-    Status status = IncrementalDecompress(blob, chunk, &incremental);
+    Status status = IncrementalDecompress(blob, chunk, windowed, &incremental);
     ASSERT_EQ(status.ok(), materialized.ok())
-        << label << " chunk " << chunk << ": incremental says '"
-        << status.ToString() << "', materializing says '"
-        << materialized.status().ToString() << "'";
+        << label << " chunk " << chunk << " windowed " << windowed
+        << ": incremental says '" << status.ToString()
+        << "', materializing says '" << materialized.status().ToString()
+        << "'";
     if (materialized.ok()) {
       ASSERT_EQ(incremental, materialized.ValueOrDie())
-          << label << " chunk " << chunk << ": outputs diverge";
+          << label << " chunk " << chunk << " windowed " << windowed
+          << ": outputs diverge";
     }
   }
 }
@@ -274,7 +289,7 @@ TEST(CodecCorruptionTest, IncrementalLzRejectsOffsetBeforeWindow) {
   bad[token_at + 3] = 0x00;
   CheckIncrementalAgreement(bad, "lz offset before window");
   std::vector<uint8_t> out;
-  Status status = IncrementalDecompress(bad, 1, &out);
+  Status status = IncrementalDecompress(bad, 1, /*windowed=*/false, &out);
   EXPECT_FALSE(status.ok());
   // Offset 0 is never valid either.
   std::vector<uint8_t> zero = blob;

@@ -1,5 +1,6 @@
 #include "serialize/compress.h"
 
+#include <algorithm>
 #include <cstring>
 #include <gtest/gtest.h>
 
@@ -107,6 +108,29 @@ TEST(ShuffleTest, RoundTripsAllStrides) {
   }
 }
 
+TEST(ShuffleTest, UnshuffleRangeMatchesWholeUnshuffle) {
+  Rng rng(5);
+  for (size_t stride : {1u, 2u, 3u, 4u, 8u}) {
+    for (size_t size : {0u, 1u, 5u, 16u, 1027u}) {
+      std::vector<uint8_t> input(size);
+      for (auto& b : input) b = static_cast<uint8_t>(rng.NextBounded(256));
+      const std::vector<uint8_t> whole = UnshuffleBytes(input, stride);
+      for (size_t begin = 0; begin <= size; begin += (size < 20 ? 1 : 37)) {
+        for (size_t count : {size_t{0}, size_t{1}, size_t{3}, size_t{4},
+                             size_t{9}, size - begin}) {
+          if (count > size - begin) continue;
+          std::vector<uint8_t> part(count);
+          UnshuffleRange(input, stride, begin, count, part.data());
+          EXPECT_TRUE(std::equal(part.begin(), part.end(),
+                                 whole.begin() + begin))
+              << "stride " << stride << " size " << size << " begin "
+              << begin << " count " << count;
+        }
+      }
+    }
+  }
+}
+
 TEST(ShuffleTest, GroupsBytePlanes) {
   std::vector<uint8_t> input{1, 2, 3, 4, 5, 6, 7, 8};
   EXPECT_EQ(ShuffleBytes(input, 4),
@@ -148,6 +172,23 @@ TEST(CompressBlobTest, ShuffleLzBeatsPlainLzOnModelParameters) {
   size_t shuffle_lz = CompressBlob(Compression::kShuffleLz, params).size();
   EXPECT_LT(shuffle_lz, lz);
   EXPECT_LT(shuffle_lz, params.size());
+}
+
+TEST(CompressBlobTest, ImplausibleShuffleRawSizeFailsWithoutAllocating) {
+  // A shuffle-LZ header claiming 2^40 raw bytes over a few payload bytes:
+  // the plane buffer is sized by what the fed bytes could expand to, so
+  // the stream fails as truncated instead of reserving a terabyte.
+  std::vector<uint8_t> blob = CompressBlob(Compression::kShuffleLz,
+                                           Bytes("abcdabcdabcdabcd"));
+  std::vector<uint8_t> forged = {'M', 'M', 'Z', '1',
+                                 static_cast<uint8_t>(Compression::kShuffleLz),
+                                 0x80, 0x80, 0x80, 0x80, 0x80, 0x20};
+  forged.insert(forged.end(), blob.begin() + 6, blob.end());
+  BlobDecompressor decompressor;
+  std::vector<uint8_t> out;
+  Status status = decompressor.Feed(forged, &out);
+  if (status.ok()) status = decompressor.Finish(&out);
+  EXPECT_TRUE(status.IsCorruption()) << status.ToString();
 }
 
 TEST(CompressBlobTest, UnknownMethodByteIsCorruption) {

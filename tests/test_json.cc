@@ -37,6 +37,19 @@ TEST(JsonTest, StringEscaping) {
   EXPECT_EQ(parsed.string_value(), v.string_value());
 }
 
+TEST(JsonTest, EscapesAtStringEdgesAndAdjacent) {
+  // Escapes first, last and back to back, between runs of plain text, so
+  // every boundary of the run-at-a-time append is crossed.
+  const std::string raw = std::string("\"\\\n") + "plain" + "\t\x1f\"" +
+                          "x" + "\r\b\f" + std::string(1, '\0') + "end\\\"";
+  const std::string dumped = JsonValue(raw).Dump();
+  EXPECT_EQ(dumped,
+            "\"\\\"\\\\\\nplain\\t\\u001f\\\"x\\r\\b\\f\\u0000end\\\\\\\"\"");
+  EXPECT_EQ(JsonValue::Parse(dumped).ValueOrDie().string_value(), raw);
+  EXPECT_EQ(JsonValue(std::string()).Dump(), "\"\"");
+  EXPECT_EQ(JsonValue(std::string("\n")).Dump(), "\"\\n\"");
+}
+
 TEST(JsonTest, ObjectPreservesInsertionOrder) {
   JsonValue obj = JsonValue::Object();
   obj.Set("zebra", 1);

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <string>
+
 #include "core/manager.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -12,12 +15,20 @@ using testing::TempDir;
 // Provenance replay must be bit-exact for every optimizer/loss the trainer
 // supports, not just the battery scenario's SGD+MSE default.
 
+// Every member is held by value, not as a pointer: gtest names each case
+// after the raw bytes of its parameter, so a pointer member would make the
+// case names shift whenever the binary's layout changes.
 struct ReplayVariant {
-  const char* name;
-  const char* optimizer;
-  const char* loss;
+  size_t samples_per_dataset;
+  char optimizer[8];
+  char loss[15];
   bool cifar;
 };
+
+std::string VariantName(const ReplayVariant& variant) {
+  return std::string(variant.optimizer) + "_" +
+         (variant.cifar ? "xent_cifar" : variant.loss);
+}
 
 class ReplayVariantSweep : public ::testing::TestWithParam<ReplayVariant> {};
 
@@ -29,7 +40,7 @@ TEST_P(ReplayVariantSweep, ProvenanceReplayIsBitExact) {
                                         : ScenarioConfig::Battery(8);
   config.full_update_fraction = 0.25;  // 2 models
   config.partial_update_fraction = 0.25;
-  config.samples_per_dataset = variant.cifar ? 8 : 32;
+  config.samples_per_dataset = variant.samples_per_dataset;
   config.batch_size = 4;
   MultiModelScenario scenario(config);
   ASSERT_OK(scenario.Init());
@@ -83,20 +94,18 @@ TEST_P(ReplayVariantSweep, ProvenanceReplayIsBitExact) {
     for (size_t p = 0; p < recovered.models[m].size(); ++p) {
       ASSERT_TRUE(recovered.models[m][p].second.Equals(
           retrained.models[m][p].second))
-          << variant.name << " model " << m << " param " << p;
+          << VariantName(variant) << " model " << m << " param " << p;
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, ReplayVariantSweep,
-    ::testing::Values(ReplayVariant{"sgd_mse", "sgd", "mse", false},
-                      ReplayVariant{"adam_mse", "adam", "mse", false},
-                      ReplayVariant{"sgd_xent_cifar", "sgd", "cross_entropy",
-                                    true},
-                      ReplayVariant{"adam_xent_cifar", "adam", "cross_entropy",
-                                    true}),
-    [](const auto& info) { return std::string(info.param.name); });
+    ::testing::Values(ReplayVariant{32, "sgd", "mse", false},
+                      ReplayVariant{32, "adam", "mse", false},
+                      ReplayVariant{8, "sgd", "cross_entropy", true},
+                      ReplayVariant{8, "adam", "cross_entropy", true}),
+    [](const auto& info) { return VariantName(info.param); });
 
 // Selective recovery across a mid-chain snapshot: the walk must stop at the
 // nearest full snapshot, not at U1.
