@@ -8,12 +8,16 @@
 // ("only train one model with reduced data per iteration"); see
 // tab_provenance_training for the extensive-training staircase.
 //
-// A second section replays a Zipfian trace through ModelSetService at
-// workers {1, N} with streaming recovery off vs on (DESIGN.md §12). Tail
-// latency is computed over the *pooled* per-request samples of all workers
-// — quantiles of per-worker means would understate p99 at workers>1.
-// With MMM_ASSERT_STREAMING=1 (the CI bench-smoke job) the run fails unless
-// streaming p99 TTR <= materializing p99 TTR at workers>1.
+// A second section replays one Zipfian trace at workers {1, N} through two
+// arms: the product path (ModelSetService, cache off, streaming recovery —
+// DESIGN.md §12) and a bench-local materializing reference built from the
+// public decoders (whole-blob CasReadBlob -> DecompressBlob ->
+// DecodeParamBlob / DecodeDiffBlob, then the diff applied). Tail latency is
+// computed over the *pooled* per-request samples of all workers — quantiles
+// of per-worker means would understate p99 at workers>1. With
+// MMM_ASSERT_STREAMING=1 (the CI bench-smoke job) the run fails unless the
+// product's p99 TTR <= the reference's p99 TTR at workers>1 and both arms
+// charge identical modeled store time.
 //
 // Results are also written to BENCH_ttr.json.
 //
@@ -25,6 +29,8 @@
 #include <cstdlib>
 
 #include "bench/bench_util.h"
+#include "cas/blob_io.h"
+#include "core/set_codec.h"
 #include "serve/service.h"
 #include "serve/trace.h"
 
@@ -47,23 +53,26 @@ struct ServeArm {
   LatencySummary modeled;
 };
 
-/// Replays `trace` at the given worker count with streaming recovery on or
-/// off, pooling the raw per-request samples of every worker before the
-/// quantiles are taken.
-ServeArm RunServeArm(const std::string& root, MultiModelScenario* scenario,
-                     const std::vector<std::string>& trace, size_t workers,
-                     bool streaming) {
+std::unique_ptr<ModelSetManager> OpenServeStore(const std::string& root,
+                                                MultiModelScenario* scenario) {
   ModelSetManager::Options options;
   options.root_dir = root;
   options.resolver = scenario;
   options.profile = SetupProfile::Server();
-  options.streaming_recovery = streaming;
-  auto manager = ModelSetManager::Open(options).ValueOrDie();
+  return ModelSetManager::Open(options).ValueOrDie();
+}
 
+/// Replays `trace` through ModelSetService at the given worker count,
+/// pooling the raw per-request samples of every worker before the
+/// quantiles are taken.
+ServeArm RunProductArm(const std::string& root, MultiModelScenario* scenario,
+                       const std::vector<std::string>& trace, size_t workers) {
+  auto manager = OpenServeStore(root, scenario);
   ModelSetServiceOptions service_options;
   service_options.workers = workers;
   // Cache off: every request pays the full store read, which is the path
-  // streaming changes; it also keeps workers>1 free of cache-race noise.
+  // the reference arm materializes; it also keeps workers>1 free of
+  // cache-race noise.
   service_options.cache_enabled = false;
   ModelSetService service(manager.get(), service_options);
 
@@ -77,6 +86,70 @@ ServeArm RunServeArm(const std::string& root, MultiModelScenario* scenario,
     wall.push_back(r.wall_nanos);
     modeled.push_back(r.modeled_store_nanos);
   }
+  ServeArm arm;
+  arm.wall = Summarize(std::move(wall));
+  arm.modeled = Summarize(std::move(modeled));
+  return arm;
+}
+
+/// Recovers an Update set the materializing way: every blob is read whole,
+/// decompressed whole and decoded whole before the next step starts.
+Result<ModelSet> MaterializeUpdateSet(const StoreContext& context,
+                                      const std::string& set_id) {
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context, set_id));
+  auto read_blob =
+      [&](const std::string& name) -> Result<std::vector<uint8_t>> {
+    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
+                         CasReadBlob(context.file_store, name));
+    return DecompressBlob(stored);
+  };
+  if (doc.kind == "full") {
+    ModelSet set;
+    MMM_ASSIGN_OR_RETURN(std::string arch,
+                         CasReadBlobString(context.file_store, doc.arch_blob));
+    MMM_ASSIGN_OR_RETURN(set.spec, DecodeArchBlob(arch));
+    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> params,
+                         read_blob(doc.param_blob));
+    MMM_ASSIGN_OR_RETURN(set.models, DecodeParamBlob(set.spec, params));
+    return set;
+  }
+  MMM_ASSIGN_OR_RETURN(ModelSet set,
+                       MaterializeUpdateSet(context, doc.base_set_id));
+  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> diff_bytes,
+                       read_blob(doc.diff_blob));
+  MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(set.spec, diff_bytes));
+  for (size_t i = 0; i < diff.entries.size(); ++i) {
+    const DiffEntry& entry = diff.entries[i];
+    if (entry.model_index >= set.models.size() ||
+        entry.param_index >= set.models[entry.model_index].size()) {
+      return Status::Corruption("diff entry out of range in set ", doc.id);
+    }
+    Tensor& target = set.models[entry.model_index][entry.param_index].second;
+    target = diff.encoding == DiffEncoding::kXorBase
+                 ? XorTensors(target, diff.tensors[i])
+                 : std::move(diff.tensors[i]);
+  }
+  return set;
+}
+
+/// The reference arm: replays `trace` on `workers` lanes through
+/// MaterializeUpdateSet, timing each request on its lane the way the
+/// service times its own.
+ServeArm RunReferenceArm(const std::string& root, MultiModelScenario* scenario,
+                         const std::vector<std::string>& trace,
+                         size_t workers) {
+  auto manager = OpenServeStore(root, scenario);
+  std::vector<uint64_t> wall(trace.size());
+  std::vector<uint64_t> modeled(trace.size());
+  Executor executor(workers);
+  executor.ParallelFor(trace.size(), [&](size_t i) {
+    const uint64_t start = WallClock::NowNanos();
+    const uint64_t modeled_start = SimulatedClock::ThreadNanos();
+    Result<ModelSet> set = MaterializeUpdateSet(manager->context(), trace[i]);
+    modeled[i] = SimulatedClock::ThreadNanos() - modeled_start;
+    wall[i] = WallClock::NowNanos() - start;
+    set.status().Check();
+  });
   ServeArm arm;
   arm.wall = Summarize(std::move(wall));
   arm.modeled = Summarize(std::move(modeled));
@@ -145,7 +218,7 @@ int main() {
     CleanupWorkDir(knobs, config.work_dir);
   }
 
-  // ---- Serving arm: pooled per-request p99, streaming off vs on. ----
+  // ---- Serving arm: pooled per-request p99, product vs reference. ----
   size_t serve_requests =
       static_cast<size_t>(GetEnvInt64("MMM_SERVE_REQUESTS", 64));
   size_t serve_workers =
@@ -190,44 +263,49 @@ int main() {
 
     JsonValue serving_json = JsonValue::Array();
     bool gate_ok = true;
+    const std::string store = serve_root + "/store";
     for (size_t workers : {size_t{1}, serve_workers}) {
-      ServeArm materializing;
-      ServeArm streaming;
-      // The gate compares wall clock of two otherwise identical arms; at
-      // smoke scale a scheduler hiccup can flip it, so retry the pair a
+      ServeArm reference;
+      ServeArm product;
+      // The gate compares wall clock of two arms reading the same store;
+      // at smoke scale a scheduler hiccup can flip it, so retry the pair a
       // few times before declaring the regression real.
       const int attempts = assert_streaming && workers > 1 ? 3 : 1;
       for (int attempt = 0; attempt < attempts; ++attempt) {
-        materializing = RunServeArm(serve_root + "/store", &scenario, trace,
-                                    workers, /*streaming=*/false);
-        streaming = RunServeArm(serve_root + "/store", &scenario, trace,
-                                workers, /*streaming=*/true);
-        if (streaming.wall.p99 <= materializing.wall.p99) break;
+        reference = RunReferenceArm(store, &scenario, trace, workers);
+        product = RunProductArm(store, &scenario, trace, workers);
+        if (product.wall.p99 <= reference.wall.p99) break;
       }
-      for (bool is_streaming : {false, true}) {
-        const ServeArm& arm = is_streaming ? streaming : materializing;
+      const std::pair<const char*, const ServeArm*> arms[] = {
+          {"reference", &reference}, {"product", &product}};
+      for (const auto& [name, arm] : arms) {
         std::printf("%-22s | %12.3f | %12.3f | %12.3f\n",
-                    StringFormat("w%zu %s", workers,
-                                 is_streaming ? "streaming" : "materializing")
-                        .c_str(),
-                    arm.wall.mean / 1e6,
-                    static_cast<double>(arm.wall.p99) / 1e6,
-                    static_cast<double>(arm.modeled.p99) / 1e6);
+                    StringFormat("w%zu %s", workers, name).c_str(),
+                    arm->wall.mean / 1e6,
+                    static_cast<double>(arm->wall.p99) / 1e6,
+                    static_cast<double>(arm->modeled.p99) / 1e6);
         JsonValue entry = JsonValue::Object();
         entry.Set("workers", static_cast<uint64_t>(workers));
-        entry.Set("streaming", is_streaming);
+        entry.Set("arm", name);
         entry.Set("requests", static_cast<uint64_t>(trace.size()));
-        entry.Set("wall", SummaryJson(arm.wall));
-        entry.Set("modeled", SummaryJson(arm.modeled));
+        entry.Set("wall", SummaryJson(arm->wall));
+        entry.Set("modeled", SummaryJson(arm->modeled));
         serving_json.Append(std::move(entry));
       }
-      if (assert_streaming && workers > 1 &&
-          streaming.wall.p99 > materializing.wall.p99) {
+      if (!assert_streaming) continue;
+      if (product.modeled.mean != reference.modeled.mean ||
+          product.modeled.p99 != reference.modeled.p99) {
+        std::printf("FAIL: product and reference modeled costs differ at "
+                    "workers=%zu\n",
+                    workers);
+        gate_ok = false;
+      }
+      if (workers > 1 && product.wall.p99 > reference.wall.p99) {
         std::printf(
-            "FAIL: streaming p99 %.3f ms > materializing p99 %.3f ms at "
-            "workers=%zu\n",
-            static_cast<double>(streaming.wall.p99) / 1e6,
-            static_cast<double>(materializing.wall.p99) / 1e6, workers);
+            "FAIL: product p99 %.3f ms > materializing reference p99 %.3f ms "
+            "at workers=%zu\n",
+            static_cast<double>(product.wall.p99) / 1e6,
+            static_cast<double>(reference.wall.p99) / 1e6, workers);
         gate_ok = false;
       }
     }

@@ -42,16 +42,7 @@ struct StoreContext {
   /// When set, batches chunk+dedup eligible blob writes and reads
   /// reassemble through cas/blob_io.h (see cas/cas_store.h).
   CasStore* cas = nullptr;
-  /// Streaming recovery (DESIGN.md §12): recovery reads pull blobs
-  /// window-by-window through FileStore::OpenStream and the incremental
-  /// decoders instead of materializing the stored bytes first. Bit-exact
-  /// with the materializing path, and the modeled store cost is identical
-  /// by construction (OpenStream charges exactly what Get charges); what
-  /// changes is peak memory (≈ one window + one layer instead of the whole
-  /// snapshot) and wall-clock (decode overlaps nothing extra, but the
-  /// intermediate copies disappear).
-  bool streaming_recovery = false;
-  /// Stream window size for streaming recovery; 0 means
+  /// Window size of the streamed recovery reads (DESIGN.md §12); 0 means
   /// kDefaultStreamWindowBytes.
   uint64_t stream_window_bytes = 0;
 

@@ -144,7 +144,7 @@ Result<ModelSet> ProvenanceApproach::Recover(const std::string& set_id,
   StatsCapture capture(context_);
   uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
   MMM_ASSIGN_OR_RETURN(ModelSet set,
-                       RecoverInternal(set_id, stats, depth_budget));
+                       RecoverChain(set_id, stats, depth_budget));
   capture.FillRecover(stats);
   return set;
 }
@@ -258,9 +258,9 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
   return models;
 }
 
-Result<ModelSet> ProvenanceApproach::RecoverInternal(const std::string& set_id,
-                                                     RecoverStats* stats,
-                                                     uint64_t depth_budget) {
+Result<ModelSet> ProvenanceApproach::RecoverChain(const std::string& set_id,
+                                                  RecoverStats* stats,
+                                                  uint64_t depth_budget) {
   if (depth_budget == 0) {
     return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
                               set_id);
@@ -283,7 +283,7 @@ Result<ModelSet> ProvenanceApproach::RecoverInternal(const std::string& set_id,
   // Recursive recovery: materialize the base set, then re-train every
   // updated model on its referenced data (§3.4).
   MMM_ASSIGN_OR_RETURN(
-      ModelSet set, RecoverInternal(doc.base_set_id, stats, depth_budget - 1));
+      ModelSet set, RecoverChain(doc.base_set_id, stats, depth_budget - 1));
   MMM_ASSIGN_OR_RETURN(std::string record_text,
                        CasReadBlobString(context_.file_store, doc.prov_blob));
   MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));

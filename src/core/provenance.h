@@ -63,8 +63,8 @@ class ProvenanceApproach : public ModelSetApproach {
   }
 
  private:
-  Result<ModelSet> RecoverInternal(const std::string& set_id,
-                                   RecoverStats* stats, uint64_t depth_budget);
+  Result<ModelSet> RecoverChain(const std::string& set_id,
+                                RecoverStats* stats, uint64_t depth_budget);
   Result<std::map<size_t, StateDict>> RecoverModelsInternal(
       const std::string& set_id, const std::vector<size_t>& unique_indices,
       const ArchitectureSpec* spec_hint, RecoverStats* stats,

@@ -135,10 +135,19 @@ Status WriteFullSnapshot(const StoreContext& context, const std::string& set_id,
   return batch.Commit();
 }
 
-Result<size_t> StreamParamBlob(const StoreContext& context,
-                               const std::string& blob_name,
-                               const ArchitectureSpec& spec,
-                               ParamBlobStreamDecoder::LayerSink sink) {
+Result<std::vector<StateDict>> ReadSnapshotModels(
+    const StoreContext& context, const SetDocument& doc,
+    const ArchitectureSpec& spec, const SnapshotLayerObserver& observe) {
+  std::vector<StateDict> models;
+  auto sink = [&](size_t model, size_t param, const std::string& key,
+                  Tensor tensor) -> Status {
+    if (observe) {
+      MMM_RETURN_NOT_OK(observe(model, param, tensor));
+    }
+    if (models.size() <= model) models.resize(model + 1);
+    models[model].emplace_back(key, std::move(tensor));
+    return Status::OK();
+  };
   // Three incremental stages chained window-by-window: CAS reassembly →
   // blob decompression → param decode. The decoder is constructed lazily,
   // on the first decompressed bytes, because the decompressed size is only
@@ -147,17 +156,18 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
   BlobDecompressor decompressor;
   std::optional<ParamBlobStreamDecoder> decoder;
   uint64_t stored_logical = 0;
+  auto start_decoder = [&] {
+    decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
+                    sink);
+  };
   std::vector<uint8_t> ready;
   auto decode = [&](std::span<const uint8_t> bytes) -> Status {
     if (bytes.empty()) return Status::OK();
-    if (!decoder.has_value()) {
-      decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
-                      std::move(sink));
-    }
+    if (!decoder.has_value()) start_decoder();
     return decoder->Feed(bytes);
   };
   MMM_RETURN_NOT_OK(CasStreamBlob(
-      context.file_store, blob_name, context.stream_window_bytes,
+      context.file_store, doc.param_blob, context.stream_window_bytes,
       [&](uint64_t logical_size) -> Status {
         stored_logical = logical_size;
         return Status::OK();
@@ -170,13 +180,16 @@ Result<size_t> StreamParamBlob(const StoreContext& context,
       }));
   // A shuffled blob's whole payload arrives here, unshuffled in windows.
   MMM_RETURN_NOT_OK(decompressor.Finish(decode));
-  if (!decoder.has_value()) {
-    // Empty blob: let the decoder produce the canonical error/result.
-    decoder.emplace(spec, decompressor.raw_size().value_or(stored_logical),
-                    std::move(sink));
-  }
+  // Empty blob: let the decoder produce the canonical error/result.
+  if (!decoder.has_value()) start_decoder();
   MMM_RETURN_NOT_OK(decoder->Finish());
-  return decoder->num_models();
+  // Zero-parameter layouts emit no layers; the header still counts models.
+  models.resize(decoder->num_models());
+  if (models.size() != doc.num_models) {
+    return Status::Corruption("set ", doc.id, " holds ", models.size(),
+                              " models, document says ", doc.num_models);
+  }
+  return models;
 }
 
 Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
@@ -184,35 +197,9 @@ Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
   if (doc.arch_blob.empty() || doc.param_blob.empty()) {
     return Status::Corruption("set ", doc.id, " is not a full snapshot");
   }
-  MMM_ASSIGN_OR_RETURN(std::string arch_text,
-                       CasReadBlobString(context.file_store, doc.arch_blob));
-  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, DecodeArchBlob(arch_text));
-  std::vector<StateDict> models;
-  if (context.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(
-        size_t num_models,
-        StreamParamBlob(context, doc.param_blob, spec,
-                        [&](size_t model, size_t /*param*/,
-                            const std::string& key, Tensor tensor) -> Status {
-                          if (models.size() <= model) models.resize(model + 1);
-                          models[model].emplace_back(key, std::move(tensor));
-                          return Status::OK();
-                        }));
-    // Zero-parameter layouts emit no layers; the header still counts models.
-    models.resize(num_models);
-  } else {
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                         CasReadBlob(context.file_store, doc.param_blob));
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, DecompressBlob(stored));
-    MMM_ASSIGN_OR_RETURN(models, DecodeParamBlob(spec, blob));
-  }
-  if (models.size() != doc.num_models) {
-    return Status::Corruption("set ", doc.id, " holds ", models.size(),
-                              " models, document says ", doc.num_models);
-  }
   ModelSet set;
-  set.spec = std::move(spec);
-  set.models = std::move(models);
+  MMM_ASSIGN_OR_RETURN(set.spec, ReadSnapshotSpec(context, doc));
+  MMM_ASSIGN_OR_RETURN(set.models, ReadSnapshotModels(context, doc, set.spec));
   return set;
 }
 

@@ -1,6 +1,7 @@
 #ifndef MMM_CORE_SET_CODEC_H_
 #define MMM_CORE_SET_CODEC_H_
 
+#include <functional>
 #include <string>
 
 #include "core/approach.h"
@@ -81,25 +82,27 @@ Status StageFullSnapshot(const StoreContext& context, StoreBatch* batch,
 Status WriteFullSnapshot(const StoreContext& context, const std::string& set_id,
                          const ModelSet& set, SetDocument* doc);
 
-/// Reads a full snapshot described by `doc`. With
-/// `context.streaming_recovery` set, the parameter blob is pulled
-/// window-by-window through the incremental decompressor and
-/// ParamBlobStreamDecoder (DESIGN.md §12) — bit-identical result, but the
-/// stored bytes and the decompressed blob are never materialized whole.
+/// Reads a full snapshot described by `doc`: the architecture blob, then
+/// the parameter blob through ReadSnapshotModels.
 Result<ModelSet> ReadFullSnapshot(const StoreContext& context,
                                   const SetDocument& doc);
 
-/// Streams a stored parameter blob (possibly compressed, possibly CAS-
-/// chunked) through the incremental decode pipeline, handing each finished
-/// layer to `sink` in (model, param) order the moment its bytes are
-/// complete. Returns the blob's model count. Accepts exactly the blobs the
-/// materializing path accepts and validates the same header/size/CRC
-/// invariants (shuffle-compressed blobs degenerate to decode-at-finish —
-/// the byte-plane transpose is global — but remain bit-exact).
-Result<size_t> StreamParamBlob(const StoreContext& context,
-                               const std::string& blob_name,
-                               const ArchitectureSpec& spec,
-                               ParamBlobStreamDecoder::LayerSink sink);
+/// Observes one decoded layer of a snapshot stream; a non-OK return aborts.
+using SnapshotLayerObserver =
+    std::function<Status(size_t model, size_t param, const Tensor& tensor)>;
+
+/// Streams `doc`'s parameter blob (possibly compressed, possibly CAS-
+/// chunked) window-by-window through the incremental decompressor and
+/// ParamBlobStreamDecoder (DESIGN.md §12), so neither the stored bytes nor
+/// the decompressed blob is ever materialized whole. Each finished layer is
+/// shown to `observe` (may be null) the moment its bytes are complete, in
+/// (model, param) order. Validates the same header/size/CRC invariants as
+/// DecodeParamBlob, plus the model count against `doc.num_models`.
+/// Shuffle-compressed blobs degenerate to decode-at-finish (the byte-plane
+/// transpose is global) but stay bit-exact.
+Result<std::vector<StateDict>> ReadSnapshotModels(
+    const StoreContext& context, const SetDocument& doc,
+    const ArchitectureSpec& spec, const SnapshotLayerObserver& observe = {});
 
 /// Reads only the models at `indices` from a full snapshot. Uncompressed
 /// parameter blobs are accessed with ranged store reads (one per distinct

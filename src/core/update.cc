@@ -153,21 +153,7 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
 
 Result<ModelSet> UpdateApproach::Recover(const std::string& set_id,
                                          RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  // The target's recorded chain depth bounds the walk: a valid chain holds
-  // chain_depth + 1 documents down to its full snapshot. Sizing the budget
-  // from the whole collection would let a corrupted base-pointer cycle walk
-  // every set of every approach in a mixed store before failing.
-  uint64_t depth_budget = doc.chain_depth + 1;
-  MMM_ASSIGN_OR_RETURN(ModelSet set, RecoverFromDoc(doc, stats, depth_budget));
-  capture.FillRecover(stats);
-  return set;
+  return RecoverCached(set_id, /*cache=*/nullptr, stats);
 }
 
 Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
@@ -224,10 +210,10 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
   for (const SetDocument& delta : deltas) {
     if (stats != nullptr) stats->sets_recovered += 1;
     if (missing == 0) continue;  // still count the metadata walk
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                         CasReadBlob(context_.file_store, delta.diff_blob));
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> diff_bytes,
-                         DecompressBlob(stored));
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<uint8_t> diff_bytes,
+        CasReadBlobDecompressed(context_.file_store, delta.diff_blob,
+                                context_.stream_window_bytes));
     MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(spec, diff_bytes));
     for (size_t i = 0; i < diff.entries.size(); ++i) {
       const DiffEntry& entry = diff.entries[i];
@@ -301,58 +287,14 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
   return out;
 }
 
-Result<ModelSet> UpdateApproach::RecoverInternal(const std::string& set_id,
-                                                 RecoverStats* stats,
-                                                 uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("update recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  return RecoverFromDoc(doc, stats, depth_budget);
-}
-
-Result<ModelSet> UpdateApproach::RecoverFromDoc(const SetDocument& doc,
-                                                RecoverStats* stats,
-                                                uint64_t depth_budget) {
-  if (stats != nullptr) stats->sets_recovered += 1;
-
-  if (doc.kind == "full") {
-    return ReadFullSnapshot(context_, doc);
-  }
-  if (doc.kind != "delta") {
-    return Status::Corruption("set ", doc.id, " has unexpected kind '",
-                              doc.kind, "'");
-  }
-  // Recursive recovery: materialize the base set, then apply the diffs.
-  MMM_ASSIGN_OR_RETURN(
-      ModelSet set, RecoverInternal(doc.base_set_id, stats, depth_budget - 1));
-  if (set.models.size() != doc.num_models) {
-    return Status::Corruption("base set size ", set.models.size(),
-                              " != derived size ", doc.num_models);
-  }
-  MMM_RETURN_NOT_OK(ApplyDelta(doc, &set));
-  return set;
-}
-
 Status UpdateApproach::ApplyDelta(const SetDocument& doc, ModelSet* set) {
   // Diff blobs are decoded whole (entries reference arbitrary positions),
-  // but with streaming recovery on the *stored-side* intermediate — the
-  // compressed/chunked bytes — never materializes.
-  std::vector<uint8_t> diff_bytes;
-  if (context_.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(diff_bytes, CasReadBlobDecompressed(
-                                         context_.file_store, doc.diff_blob,
-                                         context_.stream_window_bytes));
-  } else {
-    MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored_diff,
-                         CasReadBlob(context_.file_store, doc.diff_blob));
-    MMM_ASSIGN_OR_RETURN(diff_bytes, DecompressBlob(stored_diff));
-  }
+  // but the *stored-side* intermediate — the compressed/chunked bytes —
+  // never materializes.
+  MMM_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> diff_bytes,
+      CasReadBlobDecompressed(context_.file_store, doc.diff_blob,
+                              context_.stream_window_bytes));
   MMM_ASSIGN_OR_RETURN(DecodedDiff diff, DecodeDiffBlob(set->spec, diff_bytes));
   for (size_t i = 0; i < diff.entries.size(); ++i) {
     const DiffEntry& entry = diff.entries[i];
@@ -381,16 +323,10 @@ Result<HashTable> ReadStoredHashTable(const StoreContext& context,
   if (doc.hash_blob.empty()) {
     return Status::Corruption("set ", doc.id, " is missing its hash blob");
   }
-  if (context.streaming_recovery) {
-    MMM_ASSIGN_OR_RETURN(
-        std::vector<uint8_t> bytes,
-        CasReadBlobDecompressed(context.file_store, doc.hash_blob,
-                                context.stream_window_bytes));
-    return DecodeHashTable(bytes);
-  }
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                       CasReadBlob(context.file_store, doc.hash_blob));
-  MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> bytes, DecompressBlob(stored));
+  MMM_ASSIGN_OR_RETURN(
+      std::vector<uint8_t> bytes,
+      CasReadBlobDecompressed(context.file_store, doc.hash_blob,
+                              context.stream_window_bytes));
   return DecodeHashTable(bytes);
 }
 
@@ -417,7 +353,6 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
                                                RecoveryCache* cache,
                                                RecoverStats* stats,
                                                CacheRequestStats* cache_stats) {
-  if (cache == nullptr) return Recover(set_id, stats);
   MMM_RETURN_NOT_OK(context_.Validate());
   StatsCapture capture(context_);
   MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
@@ -425,7 +360,10 @@ Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
     return Status::InvalidArgument("set ", set_id, " was saved by '",
                                    doc.approach, "', not update");
   }
-  // Budget from the target's recorded depth, exactly as in Recover.
+  // The target's recorded chain depth bounds the walk: a valid chain holds
+  // chain_depth + 1 documents down to its full snapshot. Sizing the budget
+  // from the whole collection would let a corrupted base-pointer cycle walk
+  // every set of every approach in a mixed store before failing.
   uint64_t depth_budget = doc.chain_depth + 1;
   CacheRequestStats local;
   MMM_ASSIGN_OR_RETURN(
@@ -461,128 +399,116 @@ Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
   const std::string& set_id = doc.id;
   if (stats != nullptr) stats->sets_recovered += 1;
 
-  // Step 1: resolve the set's per-layer content hashes and architecture,
-  // memoized so a hot set costs no hash-blob or chain-walk reads.
+  // Steps 1-3a consult the cache. Without one, recovery goes straight to
+  // step 3b: it reads no hash blob, walks no chain spec, and touches exactly
+  // the documents and blobs it materializes.
   HashTable hashes;
   ArchitectureSpec spec;
-  if (cache->GetSetMeta(set_id, &hashes, &spec)) {
-    cache_stats->meta_hits += 1;
-  } else {
-    cache_stats->meta_misses += 1;
-    MMM_ASSIGN_OR_RETURN(hashes, ReadStoredHashTable(context_, doc));
-    MMM_ASSIGN_OR_RETURN(spec,
-                         ResolveChainSpec(context_, doc, depth_budget));
-  }
-  ParamLayout layout = LayoutOf(spec);
-  if (hashes.size() != doc.num_models) {
-    return Status::Corruption("hash table of ", set_id, " covers ",
-                              hashes.size(), " models, document says ",
-                              doc.num_models);
-  }
-  for (const auto& row : hashes) {
-    if (row.size() != layout.size()) {
-      return Status::Corruption("hash table of ", set_id,
-                                " disagrees with the parameter layout");
+  if (cache != nullptr) {
+    // Step 1: resolve the set's per-layer content hashes and architecture,
+    // memoized so a hot set costs no hash-blob or chain-walk reads.
+    if (cache->GetSetMeta(set_id, &hashes, &spec)) {
+      cache_stats->meta_hits += 1;
+    } else {
+      cache_stats->meta_misses += 1;
+      MMM_ASSIGN_OR_RETURN(hashes, ReadStoredHashTable(context_, doc));
+      MMM_ASSIGN_OR_RETURN(spec,
+                           ResolveChainSpec(context_, doc, depth_budget));
     }
-  }
-
-  // Step 2: probe every layer by content hash. Layers shared with an
-  // already-served set (the base snapshot, or any sibling derived set) hit
-  // regardless of which set first brought them in.
-  std::vector<std::vector<Tensor>> cached_layers(hashes.size());
-  bool complete = true;
-  for (size_t m = 0; m < hashes.size(); ++m) {
-    cached_layers[m].resize(layout.size());
-    for (size_t p = 0; p < layout.size(); ++p) {
-      if (cache->GetLayer(hashes[m][p], &cached_layers[m][p])) {
-        cache_stats->layer_hits += 1;
-      } else {
-        cache_stats->layer_misses += 1;
-        complete = false;
+    ParamLayout layout = LayoutOf(spec);
+    if (hashes.size() != doc.num_models) {
+      return Status::Corruption("hash table of ", set_id, " covers ",
+                                hashes.size(), " models, document says ",
+                                doc.num_models);
+    }
+    for (const auto& row : hashes) {
+      if (row.size() != layout.size()) {
+        return Status::Corruption("hash table of ", set_id,
+                                  " disagrees with the parameter layout");
       }
     }
-  }
 
-  // Step 3a: full hit — assemble without touching the file store.
-  if (complete) {
-    cache_stats->sets_from_cache += 1;
-    ModelSet set;
-    set.spec = spec;
-    set.models.resize(hashes.size());
+    // Step 2: probe every layer by content hash. Layers shared with an
+    // already-served set (the base snapshot, or any sibling derived set)
+    // hit regardless of which set first brought them in.
+    std::vector<std::vector<Tensor>> cached_layers(hashes.size());
+    bool complete = true;
     for (size_t m = 0; m < hashes.size(); ++m) {
-      StateDict& state = set.models[m];
-      state.reserve(layout.size());
+      cached_layers[m].resize(layout.size());
       for (size_t p = 0; p < layout.size(); ++p) {
-        state.emplace_back(layout[p].first, std::move(cached_layers[m][p]));
+        if (cache->GetLayer(hashes[m][p], &cached_layers[m][p])) {
+          cache_stats->layer_hits += 1;
+        } else {
+          cache_stats->layer_misses += 1;
+          complete = false;
+        }
       }
     }
-    cache->PutSetMeta(set_id, hashes, spec);
+
+    // Step 3a: full hit — assemble without touching the file store.
+    if (complete) {
+      cache_stats->sets_from_cache += 1;
+      ModelSet set;
+      set.spec = spec;
+      set.models.resize(hashes.size());
+      for (size_t m = 0; m < hashes.size(); ++m) {
+        StateDict& state = set.models[m];
+        state.reserve(layout.size());
+        for (size_t p = 0; p < layout.size(); ++p) {
+          state.emplace_back(layout[p].first, std::move(cached_layers[m][p]));
+        }
+      }
+      cache->PutSetMeta(set_id, hashes, spec);
+      return set;
+    }
+  }
+
+  // Step 3b: materialize from the store. A full snapshot streams its
+  // parameter blob; a delta recovers its base *through the same cache*
+  // (the memoized recursion) and applies the diff on top.
+  ModelSet set;
+  if (doc.kind == "full") {
+    if (cache == nullptr) return ReadFullSnapshot(context_, doc);
+    // Each finished layer goes to the cache the moment its bytes are
+    // complete — a concurrent request for a sibling set can hit layers of
+    // this snapshot while later models are still streaming in. This offer
+    // replaces step 4's for this set.
+    MMM_ASSIGN_OR_RETURN(
+        set.models,
+        ReadSnapshotModels(
+            context_, doc, spec,
+            [&](size_t m, size_t p, const Tensor& tensor) -> Status {
+              if (m >= hashes.size() || p >= hashes[m].size()) {
+                return Status::Corruption("set ", set_id, " streams layer (",
+                                          m, ", ", p,
+                                          ") outside its hash table");
+              }
+              cache->PutLayer(hashes[m][p], tensor);
+              return Status::OK();
+            }));
+    set.spec = spec;
+    cache->PutSetMeta(set_id, hashes, set.spec);
     return set;
   }
-
-  // Step 3b: miss — materialize from the store. A full snapshot decodes its
-  // parameter blob; a delta recovers its base *through the cache* (the
-  // memoized recursion) and applies the diff on top.
-  ModelSet set;
-  bool layers_offered = false;
-  if (doc.kind == "full") {
-    if (context_.streaming_recovery) {
-      // Streaming decode: each finished layer goes to the cache the moment
-      // its bytes are complete — a concurrent request for a sibling set can
-      // hit layers of this snapshot while later models are still streaming
-      // in. Offering here replaces step 4's offer for this set.
-      MMM_ASSIGN_OR_RETURN(
-          size_t streamed_models,
-          StreamParamBlob(
-              context_, doc.param_blob, spec,
-              [&](size_t m, size_t p, const std::string& key,
-                  Tensor tensor) -> Status {
-                if (m >= hashes.size() || p >= hashes[m].size()) {
-                  return Status::Corruption(
-                      "set ", set_id, " streams layer (", m, ", ", p,
-                      ") outside its hash table");
-                }
-                cache->PutLayer(hashes[m][p], tensor);
-                if (set.models.size() <= m) set.models.resize(m + 1);
-                set.models[m].emplace_back(key, std::move(tensor));
-                return Status::OK();
-              }));
-      set.models.resize(streamed_models);
-      layers_offered = true;
-    } else {
-      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> stored,
-                           CasReadBlob(context_.file_store, doc.param_blob));
-      MMM_ASSIGN_OR_RETURN(std::vector<uint8_t> blob, DecompressBlob(stored));
-      MMM_ASSIGN_OR_RETURN(set.models, DecodeParamBlob(spec, blob));
-    }
-    set.spec = spec;
-    if (set.models.size() != doc.num_models) {
-      return Status::Corruption("set ", set_id, " holds ", set.models.size(),
-                                " models, document says ", doc.num_models);
-    }
-  } else if (doc.kind == "delta") {
-    MMM_ASSIGN_OR_RETURN(
-        set, RecoverCachedInternal(doc.base_set_id, cache, stats, cache_stats,
-                                   depth_budget - 1));
-    if (set.models.size() != doc.num_models) {
-      return Status::Corruption("base set size ", set.models.size(),
-                                " != derived size ", doc.num_models);
-    }
-    MMM_RETURN_NOT_OK(ApplyDelta(doc, &set));
-  } else {
+  if (doc.kind != "delta") {
     return Status::Corruption("set ", set_id, " has unexpected kind '",
                               doc.kind, "'");
   }
+  MMM_ASSIGN_OR_RETURN(
+      set, RecoverCachedInternal(doc.base_set_id, cache, stats, cache_stats,
+                                 depth_budget - 1));
+  if (set.models.size() != doc.num_models) {
+    return Status::Corruption("base set size ", set.models.size(),
+                              " != derived size ", doc.num_models);
+  }
+  MMM_RETURN_NOT_OK(ApplyDelta(doc, &set));
+  if (cache == nullptr) return set;
 
   // Step 4: offer every materialized layer back to the cache under its
-  // stored content hash (shared layers re-admit idempotently). The
-  // streaming full-snapshot path already offered each layer as it finished
-  // decoding; re-offering would only inflate the cache's rejection stats.
-  if (!layers_offered) {
-    for (size_t m = 0; m < set.models.size(); ++m) {
-      for (size_t p = 0; p < set.models[m].size(); ++p) {
-        cache->PutLayer(hashes[m][p], set.models[m][p].second);
-      }
+  // stored content hash (shared layers re-admit idempotently).
+  for (size_t m = 0; m < set.models.size(); ++m) {
+    for (size_t p = 0; p < set.models[m].size(); ++p) {
+      cache->PutLayer(hashes[m][p], set.models[m][p].second);
     }
   }
   cache->PutSetMeta(set_id, hashes, set.spec);

@@ -68,8 +68,10 @@ class UpdateApproach : public ModelSetApproach {
   /// every materialized layer is offered back to the cache.
   ///
   /// Bit-exactness: cached tensors are keyed by their SHA-256 content hash,
-  /// so assembly reproduces exactly the bytes Recover would return. With
-  /// `cache == nullptr` this is plain Recover.
+  /// so assembly reproduces exactly the bytes an uncached recovery returns.
+  /// With `cache == nullptr` (which is how Recover runs) no hash blob is
+  /// read and no cache step runs: a full snapshot is streamed, a delta is
+  /// its base plus the applied diff.
   Result<ModelSet> RecoverCached(const std::string& set_id,
                                  RecoveryCache* cache,
                                  RecoverStats* stats = nullptr,
@@ -78,19 +80,14 @@ class UpdateApproach : public ModelSetApproach {
  private:
   Result<SaveResult> SaveSnapshotWithHashes(const ModelSet& set,
                                             const std::string& base_set_id);
-  Result<ModelSet> RecoverInternal(const std::string& set_id,
-                                   RecoverStats* stats, uint64_t depth_budget);
-  /// Continues recovery from an already-fetched document. Split from
-  /// RecoverInternal so the top-level entry point can fetch the target
-  /// document once, size the recursion budget from its recorded chain_depth,
-  /// and proceed without a second fetch.
-  Result<ModelSet> RecoverFromDoc(const SetDocument& doc, RecoverStats* stats,
-                                  uint64_t depth_budget);
   Result<ModelSet> RecoverCachedInternal(const std::string& set_id,
                                          RecoveryCache* cache,
                                          RecoverStats* stats,
                                          CacheRequestStats* cache_stats,
                                          uint64_t depth_budget);
+  /// Continues recovery from an already-fetched document, so the top-level
+  /// entry point fetches the target once and sizes the recursion budget
+  /// from its recorded chain_depth without a second fetch.
   Result<ModelSet> RecoverCachedFromDoc(const SetDocument& doc,
                                         RecoveryCache* cache,
                                         RecoverStats* stats,

@@ -144,78 +144,62 @@ Env* Env::Default() {
 Status InMemoryEnv::WriteFile(const std::string& path,
                               std::span<const uint8_t> data) {
   MutexLock lock(mu_);
-  for (auto& [name, contents] : files_) {
-    if (name == path) {
-      contents.assign(data.begin(), data.end());
-      return Status::OK();
-    }
-  }
-  files_.emplace_back(path, std::vector<uint8_t>(data.begin(), data.end()));
+  files_[path].assign(data.begin(), data.end());
   return Status::OK();
 }
 
 Status InMemoryEnv::AppendToFile(const std::string& path,
                                  std::span<const uint8_t> data) {
   MutexLock lock(mu_);
-  for (auto& [name, contents] : files_) {
-    if (name == path) {
-      contents.insert(contents.end(), data.begin(), data.end());
-      return Status::OK();
-    }
-  }
-  files_.emplace_back(path, std::vector<uint8_t>(data.begin(), data.end()));
+  std::vector<uint8_t>& contents = files_[path];
+  contents.insert(contents.end(), data.begin(), data.end());
   return Status::OK();
 }
 
 Result<std::vector<uint8_t>> InMemoryEnv::ReadFile(const std::string& path) {
   MutexLock lock(mu_);
-  for (const auto& [name, contents] : files_) {
-    if (name == path) return contents;
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    return Status::NotFound("in-memory env: no file ", path);
   }
-  return Status::NotFound("in-memory env: no file ", path);
+  return it->second;
 }
 
 Result<std::vector<uint8_t>> InMemoryEnv::ReadFileRange(const std::string& path,
                                                         uint64_t offset,
                                                         uint64_t length) {
   MutexLock lock(mu_);
-  for (const auto& [name, contents] : files_) {
-    if (name != path) continue;
-    // Overflow-safe form of `offset + length > size`; see env.h.
-    if (offset > contents.size() || length > contents.size() - offset) {
-      return Status::OutOfRange("range [", offset, ", +", length,
-                                ") past end of ", path);
-    }
-    return std::vector<uint8_t>(contents.begin() + offset,
-                                contents.begin() + offset + length);
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    return Status::NotFound("in-memory env: no file ", path);
   }
-  return Status::NotFound("in-memory env: no file ", path);
+  const std::vector<uint8_t>& contents = it->second;
+  // Overflow-safe form of `offset + length > size`; see env.h.
+  if (offset > contents.size() || length > contents.size() - offset) {
+    return Status::OutOfRange("range [", offset, ", +", length,
+                              ") past end of ", path);
+  }
+  return std::vector<uint8_t>(contents.begin() + offset,
+                              contents.begin() + offset + length);
 }
 
 Result<bool> InMemoryEnv::FileExists(const std::string& path) {
   MutexLock lock(mu_);
-  for (const auto& [name, _] : files_) {
-    if (name == path) return true;
-  }
-  return false;
+  return files_.find(path) != files_.end();
 }
 
 Result<uint64_t> InMemoryEnv::FileSize(const std::string& path) {
   MutexLock lock(mu_);
-  for (const auto& [name, contents] : files_) {
-    if (name == path) return static_cast<uint64_t>(contents.size());
+  auto it = files_.find(path);
+  if (it == files_.end()) {
+    return Status::NotFound("in-memory env: no file ", path);
   }
-  return Status::NotFound("in-memory env: no file ", path);
+  return static_cast<uint64_t>(it->second.size());
 }
 
 Status InMemoryEnv::DeleteFile(const std::string& path) {
   MutexLock lock(mu_);
-  for (auto it = files_.begin(); it != files_.end(); ++it) {
-    if (it->first == path) {
-      files_.erase(it);
-      return Status::OK();
-    }
-  }
+  files_.erase(path);
   return Status::OK();
 }
 
@@ -225,9 +209,10 @@ Status InMemoryEnv::RemoveDirs(const std::string& path) {
   MutexLock lock(mu_);
   std::string prefix = path;
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
-  std::erase_if(files_, [&](const auto& entry) {
-    return entry.first.rfind(prefix, 0) == 0;
-  });
+  auto it = files_.lower_bound(prefix);
+  while (it != files_.end() && it->first.starts_with(prefix)) {
+    it = files_.erase(it);
+  }
   return Status::OK();
 }
 
@@ -235,14 +220,13 @@ Result<std::vector<std::string>> InMemoryEnv::ListDir(const std::string& path) {
   MutexLock lock(mu_);
   std::string prefix = path;
   if (!prefix.empty() && prefix.back() != '/') prefix += '/';
+  // Paths under `prefix` are contiguous in the map and already sorted.
   std::vector<std::string> names;
-  for (const auto& [name, _] : files_) {
-    if (name.rfind(prefix, 0) == 0) {
-      std::string rest = name.substr(prefix.size());
-      if (rest.find('/') == std::string::npos) names.push_back(rest);
-    }
+  for (auto it = files_.lower_bound(prefix);
+       it != files_.end() && it->first.starts_with(prefix); ++it) {
+    std::string rest = it->first.substr(prefix.size());
+    if (rest.find('/') == std::string::npos) names.push_back(std::move(rest));
   }
-  std::sort(names.begin(), names.end());
   return names;
 }
 

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <string>
 #include <vector>
@@ -85,8 +86,8 @@ class InMemoryEnv : public Env {
 
  private:
   mutable Mutex mu_ MMM_LOCK_RANK(150);
-  std::vector<std::pair<std::string, std::vector<uint8_t>>> files_
-      MMM_GUARDED_BY(mu_);
+  /// Ordered by path, so a directory's files are one contiguous range.
+  std::map<std::string, std::vector<uint8_t>> files_ MMM_GUARDED_BY(mu_);
 };
 
 /// \brief Declares how many writes a concurrent batch is about to issue so

@@ -33,14 +33,6 @@ Status FileStore::PutString(const std::string& name, std::string_view data) {
                        reinterpret_cast<const uint8_t*>(data.data()), data.size()));
 }
 
-Status FileStore::Append(const std::string& name, std::span<const uint8_t> data) {
-  MMM_RETURN_NOT_OK(ValidateName(name));
-  MMM_RETURN_NOT_OK(env_->AppendToFile(root_ + "/" + name, data));
-  stats_.AddWrite(data.size());
-  Charge(data.size());
-  return Status::OK();
-}
-
 Status FileStore::PutDetached(const std::string& name,
                               std::span<const uint8_t> data, StoreStats* stats,
                               uint64_t* cost_nanos) const {

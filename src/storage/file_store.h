@@ -41,11 +41,6 @@ class FileStore {
   /// Writes a string blob.
   Status PutString(const std::string& name, std::string_view data);
 
-  /// Appends to a blob (creates it if absent). Lets writers stream large
-  /// artifacts — e.g. a parameter blob for a fleet larger than RAM —
-  /// without buffering them.
-  Status Append(const std::string& name, std::span<const uint8_t> data);
-
   /// Reads a blob.
   Result<std::vector<uint8_t>> Get(const std::string& name);
 

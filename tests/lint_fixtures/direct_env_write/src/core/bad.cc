@@ -11,3 +11,19 @@ int Save(Env* env) {
   s = env->AppendToFile("manifest", "entry");
   return s;
 }
+
+// FileStore writes bypass StoreBatch just the same.
+struct FileStore;
+
+int SaveBlobs(FileStore* files, FileStore& store) {
+  int s = files->Put("blob", "payload");
+  if (s != 0) return s;
+  s = store.PutString("arch", "spec");
+  if (s != 0) return s;
+  return files->Append("params", "chunk");
+}
+
+// Appending to a JSON array is not a store write and stays clean.
+struct JsonValue;
+
+void BuildLayout(JsonValue& dims) { dims.Append(3); }

@@ -1,5 +1,6 @@
 // Fixture: suppressed direct writes lint clean.
 struct Env;
+struct FileStore;
 
 int Save(Env* env) {
   // MMMLINT(direct-env-write): fixture writes a debug dump, not a save blob
@@ -8,4 +9,12 @@ int Save(Env* env) {
   // MMMLINT(direct-env-write): fixture appends outside the commit protocol
   s = env->AppendToFile("manifest", "entry");
   return s;
+}
+
+int SaveBlobs(FileStore* files) {
+  // MMMLINT(direct-env-write): fixture writes a scratch blob, not a save
+  int s = files->Put("blob", "payload");
+  if (s != 0) return s;
+  // MMMLINT(direct-env-write): fixture appends to a scratch log
+  return files->Append("log", "entry");
 }

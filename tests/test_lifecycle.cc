@@ -7,7 +7,6 @@
 
 #include "core/adaptive.h"
 #include "core/gc.h"
-#include "core/streaming.h"
 #include "nn/metrics.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
@@ -17,7 +16,7 @@ namespace {
 
 using testing::TempDir;
 
-// End-to-end lifecycle: commission a fleet (streamed), run update cycles
+// End-to-end lifecycle: commission a fleet, run update cycles
 // under every approach, retire old versions, compact, reopen, and analyse a
 // single cell — the full deployment story of the paper plus this
 // repository's extensions, in one test.
@@ -33,17 +32,13 @@ TEST(LifecycleTest, FullDeploymentStory) {
   options.resolver = &scenario;
   ASSERT_OK_AND_ASSIGN(auto manager, ModelSetManager::Open(options));
 
-  // --- Commissioning: stream the initial fleet into a baseline snapshot.
-  ASSERT_OK_AND_ASSIGN(auto writer,
-                       StreamingSnapshotWriter::Begin(
-                           manager->context(), config.spec, 24));
-  for (const StateDict& model : scenario.current_set().models) {
-    ASSERT_OK(writer->Append(model));
-  }
-  ASSERT_OK_AND_ASSIGN(SaveResult commissioned, writer->Finish());
+  // --- Commissioning: save the initial fleet as a baseline snapshot.
+  ASSERT_OK_AND_ASSIGN(
+      SaveResult commissioned,
+      manager->SaveInitial(ApproachType::kBaseline, scenario.current_set()));
 
   // --- Deployment: three update cycles archived with the Update approach,
-  // seeded from the streamed snapshot's models.
+  // seeded from the commissioned snapshot's models.
   ASSERT_OK_AND_ASSIGN(ModelSet seeded, manager->Recover(commissioned.set_id));
   ASSERT_OK_AND_ASSIGN(SaveResult u1,
                        manager->SaveInitial(ApproachType::kUpdate, seeded));
@@ -80,7 +75,7 @@ TEST(LifecycleTest, FullDeploymentStory) {
                        Rmse(current_model.Predict(fresh.inputs), fresh.targets));
   EXPECT_LT(rmse, 10.0);
 
-  // --- Retention: keep only the newest chain, drop the streamed snapshot.
+  // --- Retention: keep only the newest chain, drop the commissioned snapshot.
   ASSERT_OK_AND_ASSIGN(DeleteReport gc,
                        RetainOnly(manager->context(), {versions.back()}));
   EXPECT_EQ(gc.sets_deleted, 1u);  // the commissioned snapshot

@@ -124,6 +124,12 @@ TEST(MmmlintRules, DirectEnvWrite) {
   std::vector<Finding> findings = LintFixture("direct_env_write");
   EXPECT_TRUE(HasFinding(findings, "direct-env-write", "bad.cc", 9));
   EXPECT_TRUE(HasFinding(findings, "direct-env-write", "bad.cc", 11));
+  // FileStore::Put / PutString / Append, through a pointer or a store.
+  EXPECT_TRUE(HasFinding(findings, "direct-env-write", "bad.cc", 19));
+  EXPECT_TRUE(HasFinding(findings, "direct-env-write", "bad.cc", 21));
+  EXPECT_TRUE(HasFinding(findings, "direct-env-write", "bad.cc", 23));
+  // JsonValue::Append on a local array is not a store write.
+  EXPECT_FALSE(HasFinding(findings, "direct-env-write", "bad.cc", 29));
   for (const Finding& f : findings) {
     EXPECT_TRUE(f.file.find("suppressed") == std::string::npos)
         << f.file << ":" << f.line << " [" << f.rule << "]";

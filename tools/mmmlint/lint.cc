@@ -362,15 +362,35 @@ void CheckMutexRules(const RuleContext& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// direct-env-write: approach code must stage writes through StoreBatch.
+// direct-env-write: approach code must stage writes through StoreBatch —
+// neither the Env write entry points nor the FileStore ones.
+
+const std::set<std::string, std::less<>> kFileStoreWrites = {"Put", "PutString",
+                                                             "Append"};
+
+/// True when the member call at `i` is reached the way approach code
+/// reaches a FileStore: through a pointer (`context.file_store->Put(`), or
+/// on a receiver whose name says it is a store (`store.Put(`). This keeps
+/// `JsonValue::Append` on local arrays clean.
+bool IsFileStoreWriteCall(const std::vector<Token>& toks, size_t i) {
+  if (kFileStoreWrites.count(toks[i].text) == 0 ||
+      !IsPunct(TokenAt(toks, i + 1), "(") || i == 0) {
+    return false;
+  }
+  if (IsPunct(&toks[i - 1], "->")) return true;
+  return i >= 2 && IsPunct(&toks[i - 1], ".") &&
+         toks[i - 2].kind == TokenKind::kIdent &&
+         toks[i - 2].text.find("store") != std::string::npos;
+}
 
 void CheckDirectEnvWrite(const RuleContext& ctx) {
   if (!PathContains(ctx.file.path, "src/core/")) return;
   const auto& toks = ctx.file.tokens;
   for (size_t i = 0; i < toks.size(); ++i) {
     if (toks[i].kind != TokenKind::kIdent) continue;
-    if ((toks[i].text == "WriteFile" || toks[i].text == "AppendToFile") &&
-        IsPunct(TokenAt(toks, i + 1), "(")) {
+    if (((toks[i].text == "WriteFile" || toks[i].text == "AppendToFile") &&
+         IsPunct(TokenAt(toks, i + 1), "(")) ||
+        IsFileStoreWriteCall(toks, i)) {
       ctx.Report("direct-env-write", toks[i].line,
                  "'" + toks[i].text +
                      "' in approach code: save-path writes must stage "

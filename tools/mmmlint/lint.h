@@ -29,7 +29,8 @@
 ///                        common/thread_annotations.h — concurrent code must
 ///                        use the annotated wrappers so clang's
 ///                        -Wthread-safety can check it.
-///   direct-env-write     Env::WriteFile / AppendToFile called from approach
+///   direct-env-write     Env::WriteFile / AppendToFile, or a FileStore
+///                        Put / PutString / Append call, from approach
 ///                        code (src/core/): save-path writes must stage
 ///                        through StoreBatch so batching, journaling, and
 ///                        crash sweeps see them.
