@@ -13,7 +13,7 @@ namespace mmm {
 /// Chunk blobs live in the same file store as every other artifact, under a
 /// reserved name prefix: `cas-<64 hex chars of the chunk's SHA-256>`. Only
 /// the CAS sweeper (cas/cas_store.cc) may delete blobs in this namespace —
-/// enforced by the mmmlint `chunk-delete` rule.
+/// enforced by the mmmsa `chunk-delete` rule.
 inline constexpr char kCasChunkPrefix[] = "cas-";
 
 /// First 8 bytes of every manifest payload. Raw artifact blobs all start

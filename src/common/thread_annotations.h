@@ -16,7 +16,7 @@
 /// The standard library's mutex types are not annotated, so concurrent code
 /// uses the thin wrappers below (`Mutex`, `SharedMutex`, `CondVar`) together
 /// with the RAII guards (`MutexLock`, `ReaderMutexLock`, `WriterMutexLock`)
-/// instead of `std::mutex` / `std::lock_guard`. mmmlint's `raw-std-mutex`
+/// instead of `std::mutex` / `std::lock_guard`. mmmsa's `raw-std-mutex`
 /// rule enforces that no other file declares a raw standard mutex member.
 ///
 /// Conventions (see DESIGN.md §6):

@@ -121,7 +121,7 @@ struct FleetSimulator::World {
       // Modeled store latency on (simulated clock, no real waiting) so the
       // recover_modeled_nanos stream carries real per-request costs.
       manager_options.profile = SetupProfile::Server();
-      // MMMLINT(direct-manager-open): fresh in-memory world per run.
+      // MMMSA(direct-manager-open): fresh in-memory world per run.
       MMM_ASSIGN_OR_RETURN(manager, ModelSetManager::Open(manager_options));
       ModelSetServiceOptions service_options;
       service_options.workers = options.workers;

@@ -14,7 +14,7 @@ class Inverted {
  private:
   Mutex low_ MMM_LOCK_RANK(10);
   Mutex high_ MMM_LOCK_RANK(20);
-  int epoch_ = 0;
+  int epoch_ MMM_GUARDED_BY(high_) = 0;
 };
 
 #endif  // SA_FIXTURE_RANK_INVERSION_SUPPRESSED_H_

@@ -673,7 +673,7 @@ int main(int argc, char** argv) {
   options.root_dir = store_dir;
   // Single-store CLI commands inspect exactly one un-sharded store; the
   // cluster commands above go through the Coordinator.
-  // MMMLINT(direct-manager-open): generic single-store inspection CLI.
+  // MMMSA(direct-manager-open): generic single-store inspection CLI.
   auto manager = ModelSetManager::Open(options);
   if (!manager.ok()) return Fail(manager.status());
   if (command == "list") return CmdList(manager.ValueOrDie().get());

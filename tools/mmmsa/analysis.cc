@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cfg.h"
+#include "checks.h"
 #include "parser.h"
 #include "sa.h"
 
@@ -16,35 +17,6 @@ namespace mmmsa {
 namespace {
 
 namespace fs = std::filesystem;
-
-// ---------------------------------------------------------------------------
-// Shared token helpers (mirrors parser.cc's private ones).
-
-const Token* At(const std::vector<Token>& toks, size_t i) {
-  return i < toks.size() ? &toks[i] : nullptr;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kIdent && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
-bool IsAnyIdent(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdent;
-}
-
-size_t SkipParens(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "(") ++depth;
-    if (toks[i].text == ")" && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
 
 // ---------------------------------------------------------------------------
 // File collection + lexing.
@@ -88,40 +60,19 @@ bool ReadFile(const std::string& path, std::string* out) {
   return true;
 }
 
-// ---------------------------------------------------------------------------
-// Suppressions: `// MMMSA(<analysis>): reason` on the line or the line above.
-
-class Suppressions {
- public:
-  explicit Suppressions(const std::vector<LexedFile>& files) {
-    for (const LexedFile& f : files) {
-      std::string path = EffectivePath(f.path);
-      for (const Comment& c : f.comments) {
-        size_t pos = c.text.find("MMMSA(");
-        if (pos == std::string::npos) continue;
-        size_t close = c.text.find(')', pos);
-        if (close == std::string::npos) continue;
-        std::string analysis = c.text.substr(pos + 6, close - pos - 6);
-        by_file_[path].emplace(c.line, analysis);
-      }
+std::vector<LexedFile> LoadFiles(const std::vector<std::string>& paths,
+                                 std::vector<std::string>* io_errors) {
+  std::vector<LexedFile> files;
+  for (const std::string& path : CollectSources(paths, io_errors)) {
+    std::string contents;
+    if (!ReadFile(path, &contents)) {
+      if (io_errors != nullptr) io_errors->push_back(path);
+      continue;
     }
+    files.push_back(Lex(path, contents));
   }
-
-  bool Covers(const Finding& finding) const {
-    auto it = by_file_.find(finding.file);
-    if (it == by_file_.end()) return false;
-    for (int line : {finding.line, finding.line - 1}) {
-      auto range = it->second.equal_range(line);
-      for (auto e = range.first; e != range.second; ++e) {
-        if (e->second == finding.analysis || e->second == "*") return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  std::map<std::string, std::multimap<int, std::string>> by_file_;
-};
+  return files;
+}
 
 // ---------------------------------------------------------------------------
 // Lock-expression and callee resolution.
@@ -440,8 +391,7 @@ class LockOrderAnalysis {
                                                                  : i + 3);
           if (!id.empty()) {
             for (const std::string& h : *held) {
-              AddEdge(h, id, EffectivePath(fn.file), toks[i].line,
-                      fn.qualified);
+              AddEdge(h, id, fn.file, toks[i].line, fn.qualified);
             }
             facts_[fn_idx].direct.push_back(id);
             held->push_back(id);
@@ -458,8 +408,8 @@ class LockOrderAnalysis {
             az_.ResolveCallee(fn, toks, chain_begin, i);
         for (size_t callee : callees) {
           if (callee == fn_idx) continue;  // recursion adds nothing
-          facts_[fn_idx].calls.push_back(CallSite{
-              callee, *held, EffectivePath(fn.file), toks[i].line});
+          facts_[fn_idx].calls.push_back(
+              CallSite{callee, *held, fn.file, toks[i].line});
         }
       }
     }
@@ -488,7 +438,7 @@ class LockOrderAnalysis {
     const FunctionInfo& fn = program_.functions[fn_idx];
     std::vector<std::string> held;
     for (const std::string& spelling : fn.requires_locks) {
-      LexedFile lexed = mmmlint::Lex("<requires>", spelling);
+      LexedFile lexed = Lex("<requires>", spelling);
       std::string id =
           az_.ResolveLockExpr(fn, lexed.tokens, 0, lexed.tokens.size());
       if (!id.empty()) held.push_back(id);
@@ -531,13 +481,11 @@ class LockOrderAnalysis {
 
   void ReportMissingRanks(std::vector<Finding>* findings) {
     for (const LockDecl& lock : program_.locks) {
-      std::string path = EffectivePath(lock.file);
-      if (path.rfind("src/", 0) != 0) continue;
-      if (lock.rank >= 0) continue;
+      if (!UnderDir(lock.file, "src/") || lock.rank >= 0) continue;
       Finding f;
       f.analysis = "lock-order";
       f.rule = "lock-rank-missing";
-      f.file = path;
+      f.path = lock.file;
       f.line = lock.line;
       f.symbol = lock.id;
       f.message = "lock '" + lock.id +
@@ -558,7 +506,7 @@ class LockOrderAnalysis {
       Finding f;
       f.analysis = "lock-order";
       f.rule = "rank-inversion";
-      f.file = edge.file;
+      f.path = edge.file;
       f.line = edge.line;
       f.symbol = edge.from + "->" + edge.to;
       char buf[512];
@@ -650,7 +598,7 @@ class LockOrderAnalysis {
       Finding f;
       f.analysis = "lock-order";
       f.rule = "lock-cycle";
-      f.file = site != nullptr ? site->file : "<unknown>";
+      f.path = site != nullptr ? site->file : "<unknown>";
       f.line = site != nullptr ? site->line : 0;
       f.symbol = joined;
       f.message =
@@ -756,9 +704,8 @@ class StatusFlowAnalysis {
       const Stmt* s = cfg.nodes[n].stmt;
       if (s != nullptr && s->kind == Stmt::Kind::kPlain) FindDecl(*s, &decls);
     }
-    std::string path = EffectivePath(fn.file);
     for (const auto& [var, decl_line] : decls) {
-      AnalyzeVar(fn, path, cfg, var, findings);
+      AnalyzeVar(fn, fn.file, cfg, var, findings);
     }
   }
 
@@ -822,7 +769,7 @@ class StatusFlowAnalysis {
           Finding f;
           f.analysis = "status-flow";
           f.rule = "status-overwrite";
-          f.file = path;
+          f.path = path;
           f.line = s->line;
           f.symbol = fn.qualified + "::" + var;
           f.message = "'" + var + "' still holds the unchecked Status from " +
@@ -879,7 +826,7 @@ class StatusFlowAnalysis {
     Finding f;
     f.analysis = "status-flow";
     f.rule = "status-drop";
-    f.file = path;
+    f.path = path;
     f.line = line;
     f.symbol = fn.qualified + "::" + var;
     f.message = "Status '" + var + "' in " + fn.qualified +
@@ -1052,9 +999,7 @@ class JournalPathAnalysis {
   };
 
   static bool Sanctioned(const FunctionInfo& fn) {
-    std::string path = EffectivePath(fn.file);
-    return path.rfind("src/storage/", 0) == 0 ||
-           path.rfind("src/cas/", 0) == 0;
+    return UnderDir(fn.file, "src/storage/") || UnderDir(fn.file, "src/cas/");
   }
 
   static bool IsDeletePrimitive(const std::vector<Token>& toks, size_t i) {
@@ -1079,13 +1024,13 @@ class JournalPathAnalysis {
     Finding f;
     f.analysis = "journal-path";
     f.rule = "unjournaled-delete";
-    f.file = EffectivePath(fn.file);
+    f.path = fn.file;
     f.line = line;
     f.symbol = fn.qualified;
     f.message = fn.qualified + " " + what +
                 "; destructive blob operations must be dominated by a "
                 "journal Begin/OnManifestDeleted/orphan-sweep intent "
-                "(DESIGN.md §6.5)";
+                "(DESIGN.md §6.3)";
     return f;
   }
 
@@ -1096,66 +1041,238 @@ class JournalPathAnalysis {
 // ---------------------------------------------------------------------------
 // Analysis 4: layer DAG.
 
-class LayerDagAnalysis {
- public:
-  void Run(const std::vector<LexedFile>& files,
-           std::vector<Finding>* findings) {
-    static const std::map<std::string, std::set<std::string>> kAllowed = {
-        {"common", {}},
-        {"serialize", {"common"}},
-        {"tensor", {"common", "serialize"}},
-        {"storage", {"common", "serialize"}},
-        {"nn", {"common", "serialize", "tensor"}},
-        {"data", {"common", "serialize", "tensor"}},
-        {"cas", {"common", "serialize", "storage"}},
-        {"battery", {"common", "data"}},
-        {"prov", {"common", "serialize", "data", "nn"}},
-        {"core",
-         {"common", "serialize", "tensor", "storage", "cas", "nn", "data",
-          "prov"}},
-        {"serve", {"common", "serialize", "tensor", "storage", "core"}},
-        {"workload", {"common", "core", "data", "nn", "prov", "battery"}},
-        {"cluster", {"common", "serialize", "storage", "core", "serve"}},
-        {"fleet",
-         {"common", "serialize", "storage", "cas", "core", "serve", "cluster",
-          "nn", "prov", "battery"}},
-    };
+void RunLayerDag(const std::vector<LexedFile>& files,
+                 std::vector<Finding>* findings) {
+  static const std::map<std::string, std::set<std::string>> kAllowed = {
+      {"common", {}},
+      {"serialize", {"common"}},
+      {"tensor", {"common", "serialize"}},
+      {"storage", {"common", "serialize"}},
+      {"nn", {"common", "serialize", "tensor"}},
+      {"data", {"common", "serialize", "tensor"}},
+      {"cas", {"common", "serialize", "storage"}},
+      {"battery", {"common", "data"}},
+      {"prov", {"common", "serialize", "data", "nn"}},
+      {"core",
+       {"common", "serialize", "tensor", "storage", "cas", "nn", "data",
+        "prov"}},
+      {"serve", {"common", "serialize", "tensor", "storage", "core"}},
+      {"workload", {"common", "core", "data", "nn", "prov", "battery"}},
+      {"cluster", {"common", "serialize", "storage", "core", "serve"}},
+      {"fleet",
+       {"common", "serialize", "storage", "cas", "core", "serve", "cluster",
+        "nn", "prov", "battery"}},
+  };
 
-    for (const LexedFile& file : files) {
-      std::string path = EffectivePath(file.path);
-      if (path.rfind("src/", 0) != 0) continue;  // tools/tests/bench: free
-      std::string layer = path.substr(4, path.find('/', 4) - 4);
-      auto allowed_it = kAllowed.find(layer);
-      if (allowed_it == kAllowed.end()) continue;
-      const std::set<std::string>& allowed = allowed_it->second;
+  for (const LexedFile& file : files) {
+    std::string path = EffectivePath(file.path);
+    if (path.rfind("src/", 0) != 0) continue;  // tools/tests/bench: free
+    std::string layer = path.substr(4, path.find('/', 4) - 4);
+    auto allowed_it = kAllowed.find(layer);
+    if (allowed_it == kAllowed.end()) continue;
+    const std::set<std::string>& allowed = allowed_it->second;
 
-      const std::vector<Token>& toks = file.tokens;
-      for (size_t i = 0; i + 2 < toks.size(); ++i) {
-        if (!IsPunct(&toks[i], "#") || !IsIdent(&toks[i + 1], "include") ||
-            toks[i + 2].kind != TokenKind::kString) {
-          continue;
-        }
-        const std::string& inc = toks[i + 2].text;
-        size_t slash = inc.find('/');
-        if (slash == std::string::npos) continue;  // same-dir include
-        std::string target = inc.substr(0, slash);
-        if (kAllowed.count(target) == 0) continue;  // not a src layer
-        if (target == layer || allowed.count(target) != 0) continue;
-        Finding f;
-        f.analysis = "layer-dag";
-        f.rule = "layer-violation";
-        f.file = path;
-        f.line = toks[i + 2].line;
-        f.symbol = layer + "->" + target;
-        f.message = "layer '" + layer + "' must not include '" + inc +
-                    "' from layer '" + target +
-                    "': the enforced dependency DAG (ARCHITECTURE.md) "
-                    "points strictly downward";
-        findings->push_back(std::move(f));
-      }
+    for (const IncludeDirective& inc : QuotedIncludes(file)) {
+      size_t slash = inc.target.find('/');
+      if (slash == std::string::npos) continue;  // same-dir include
+      std::string target = inc.target.substr(0, slash);
+      if (kAllowed.count(target) == 0) continue;  // not a src layer
+      if (target == layer || allowed.count(target) != 0) continue;
+      Finding f;
+      f.analysis = "layer-dag";
+      f.rule = "layer-violation";
+      f.path = file.path;
+      f.line = inc.line;
+      f.symbol = layer + "->" + target;
+      f.message = "layer '" + layer + "' must not include '" + inc.target +
+                  "' from layer '" + target +
+                  "': the enforced dependency DAG (ARCHITECTURE.md) "
+                  "points strictly downward";
+      findings->push_back(std::move(f));
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// The catalog: every check, the rules it reports, and how it runs.
+
+struct Corpus {
+  const std::vector<LexedFile>& files;
+  const Program& program;  ///< empty unless a whole-program check runs
+  const Analyzer& az;
 };
+
+struct Check {
+  std::string name;
+  std::vector<std::string> rules;  ///< rule ids it reports; empty = {name}
+  bool whole_program = false;      ///< needs ParseProgram
+  void (*run)(const Corpus&, std::vector<Finding>*) = nullptr;
+};
+
+template <FileCheck kCheck>
+void EachFile(const Corpus& corpus, std::vector<Finding>* out) {
+  for (const LexedFile& file : corpus.files) kCheck(file, out);
+}
+
+const std::vector<Check>& Catalog() {
+  static const std::vector<Check> kChecks = {
+      {"lock-order",
+       {"lock-cycle", "rank-inversion", "lock-rank-missing"},
+       true,
+       [](const Corpus& c, std::vector<Finding>* out) {
+         LockOrderAnalysis(c.program, c.az).Run(out);
+       }},
+      {"status-flow",
+       {"status-overwrite", "status-drop"},
+       true,
+       [](const Corpus& c, std::vector<Finding>* out) {
+         StatusFlowAnalysis(c.program).Run(out);
+       }},
+      {"journal-path",
+       {"unjournaled-delete"},
+       true,
+       [](const Corpus& c, std::vector<Finding>* out) {
+         JournalPathAnalysis(c.program, c.az).Run(out);
+       }},
+      {"layer-dag",
+       {"layer-violation"},
+       false,
+       [](const Corpus& c, std::vector<Finding>* out) {
+         RunLayerDag(c.files, out);
+       }},
+      {"banned-random", {}, false, EachFile<CheckBannedRandom>},
+      {"discarded-status", {}, false, EachFile<CheckDiscardedStatus>},
+      {"naked-new", {}, false, EachFile<CheckNakedNew>},
+      {"naked-delete", {}, false, EachFile<CheckNakedDelete>},
+      {"mutex-missing-guard", {}, false, EachFile<CheckMutexMissingGuard>},
+      {"raw-std-mutex", {}, false, EachFile<CheckRawStdMutex>},
+      {"direct-env-write", {}, false, EachFile<CheckDirectEnvWrite>},
+      {"direct-env-read", {}, false, EachFile<CheckDirectEnvRead>},
+      {"direct-manager-open", {}, false, EachFile<CheckDirectManagerOpen>},
+      {"chunk-delete", {}, false, EachFile<CheckChunkDelete>},
+      {"include-cycle",
+       {},
+       false,
+       [](const Corpus& c, std::vector<Finding>* out) {
+         CheckIncludeCycles(c.files, out);
+       }},
+  };
+  return kChecks;
+}
+
+/// True when `name` is a check or one of the rules a check reports.
+bool IsCatalogName(const std::string& name) {
+  for (const Check& check : Catalog()) {
+    if (check.name == name ||
+        std::find(check.rules.begin(), check.rules.end(), name) !=
+            check.rules.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// ---------------------------------------------------------------------------
+// Suppressions: `MMMSA(<check-or-rule>): <reason>` in a comment on the
+// finding's line or the line above, matched in the file that holds it.
+
+std::vector<SuppressionNote> ParseSuppressions(const LexedFile& file) {
+  static constexpr std::string_view kOpen = "MMMSA(";
+  std::vector<SuppressionNote> notes;
+  for (const Comment& c : file.comments) {
+    const std::string& text = c.text;
+    for (size_t pos = text.find(kOpen); pos != std::string::npos;
+         pos = text.find(kOpen, pos + 1)) {
+      size_t begin = pos + kOpen.size();
+      size_t close = text.find(')', begin);
+      if (close == std::string::npos) break;
+      std::string name = text.substr(begin, close - begin);
+      // Prose that mentions the syntax (a `<rule>` placeholder, no colon)
+      // is not a suppression.
+      if (name.empty() ||
+          name.find_first_not_of("abcdefghijklmnopqrstuvwxyz0123456789-") !=
+              std::string::npos ||
+          close + 1 >= text.size() || text[close + 1] != ':') {
+        continue;
+      }
+      // The reason runs to the end of the line or the next suppression.
+      size_t end = std::min(text.find('\n', close), text.find(kOpen, close));
+      std::string reason = text.substr(close + 2, end - (close + 2));
+      size_t first = reason.find_first_not_of(" \t\r");
+      size_t last = reason.find_last_not_of(" \t\r");
+      reason = first == std::string::npos
+                   ? ""
+                   : reason.substr(first, last - first + 1);
+      notes.push_back({file.path, c.line, std::move(name), std::move(reason)});
+    }
+  }
+  return notes;
+}
+
+/// Drops every finding a valid suppression covers. With `audit`, also
+/// appends one `invalid-suppression` finding per suppression that names no
+/// catalog entry or gives no reason (those waive nothing).
+void ApplySuppressions(const std::vector<LexedFile>& files, bool audit,
+                       std::vector<Finding>* findings) {
+  std::map<std::string, std::multimap<int, std::string>> waivers;
+  std::vector<Finding> invalid;
+  for (const LexedFile& file : files) {
+    for (SuppressionNote& note : ParseSuppressions(file)) {
+      std::string problem;
+      if (!IsCatalogName(note.name)) {
+        problem = "names no check or rule (see --list-analyses)";
+      } else if (note.reason.empty()) {
+        problem = "gives no reason";
+      } else {
+        waivers[note.path].emplace(note.line, note.name);
+        continue;
+      }
+      Finding f;
+      f.analysis = f.rule = "invalid-suppression";
+      f.path = note.path;
+      f.line = note.line;
+      f.symbol = note.name;
+      f.message = "suppression of '" + note.name + "' " + problem +
+                  ", so it suppresses nothing; name a check or rule and "
+                  "say why after the colon";
+      invalid.push_back(std::move(f));
+    }
+  }
+  std::erase_if(*findings, [&](const Finding& f) {
+    auto it = waivers.find(f.path);
+    if (it == waivers.end()) return false;
+    for (int line : {f.line, f.line - 1}) {
+      auto range = it->second.equal_range(line);
+      for (auto e = range.first; e != range.second; ++e) {
+        if (e->second == f.analysis || e->second == f.rule) return true;
+      }
+    }
+    return false;
+  });
+  if (audit) findings->insert(findings->end(), invalid.begin(), invalid.end());
+}
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  for (char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\n': out += "\\n"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
+    }
+  }
+  return out;
+}
 
 }  // namespace
 
@@ -1163,9 +1280,16 @@ class LayerDagAnalysis {
 // Public interface.
 
 const std::vector<std::string>& AnalysisNames() {
-  static const std::vector<std::string> kNames = {
-      "lock-order", "status-flow", "journal-path", "layer-dag"};
+  static const std::vector<std::string> kNames = [] {
+    std::vector<std::string> names;
+    for (const Check& check : Catalog()) names.push_back(check.name);
+    return names;
+  }();
   return kNames;
+}
+
+bool UnderDir(const std::string& path, std::string_view dir) {
+  return EffectivePath(path).starts_with(dir);
 }
 
 std::string EffectivePath(const std::string& path) {
@@ -1187,63 +1311,48 @@ std::string EffectivePath(const std::string& path) {
 std::vector<Finding> AnalyzePaths(const std::vector<std::string>& paths,
                                   const SaOptions& options,
                                   std::vector<std::string>* io_errors) {
-  std::vector<std::string> sources = CollectSources(paths, io_errors);
-  std::vector<LexedFile> files;
-  files.reserve(sources.size());
-  for (const std::string& path : sources) {
-    std::string contents;
-    if (!ReadFile(path, &contents)) {
-      if (io_errors != nullptr) io_errors->push_back(path);
-      continue;
-    }
-    files.push_back(mmmlint::Lex(path, contents));
-  }
-
-  auto enabled = [&](const std::string& name) {
+  std::vector<LexedFile> files = LoadFiles(paths, io_errors);
+  auto enabled = [&](const Check& check) {
     return options.only_analyses.empty() ||
-           options.only_analyses.count(name) != 0;
+           options.only_analyses.count(check.name) != 0;
   };
 
-  std::vector<Finding> findings;
   Program program;
-  if (enabled("lock-order") || enabled("status-flow") ||
-      enabled("journal-path")) {
+  if (std::any_of(Catalog().begin(), Catalog().end(), [&](const Check& c) {
+        return c.whole_program && enabled(c);
+      })) {
     program = ParseProgram(files);
   }
   Analyzer az(program);
-  if (enabled("lock-order")) {
-    LockOrderAnalysis(program, az).Run(&findings);
-  }
-  if (enabled("status-flow")) {
-    StatusFlowAnalysis(program).Run(&findings);
-  }
-  if (enabled("journal-path")) {
-    JournalPathAnalysis(program, az).Run(&findings);
-  }
-  if (enabled("layer-dag")) {
-    LayerDagAnalysis().Run(files, &findings);
+  Corpus corpus{files, program, az};
+  std::vector<Finding> findings;
+  for (const Check& check : Catalog()) {
+    if (enabled(check)) check.run(corpus, &findings);
   }
 
-  Suppressions suppressions(files);
-  findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                [&](const Finding& f) {
-                                  return suppressions.Covers(f);
-                                }),
-                 findings.end());
+  // The suppression audit belongs to full runs: --analysis narrows the
+  // report to the named checks.
+  ApplySuppressions(files, options.only_analyses.empty(), &findings);
+  for (Finding& f : findings) f.file = EffectivePath(f.path);
   std::sort(findings.begin(), findings.end());
   findings.erase(std::unique(findings.begin(), findings.end()),
                  findings.end());
   return findings;
 }
 
-std::string DescribeLockGraph(const std::vector<std::string>& paths) {
-  std::vector<std::string> sources = CollectSources(paths, nullptr);
-  std::vector<LexedFile> files;
-  for (const std::string& path : sources) {
-    std::string contents;
-    if (ReadFile(path, &contents)) files.push_back(mmmlint::Lex(path, contents));
+std::vector<SuppressionNote> ListSuppressions(
+    const std::vector<std::string>& paths,
+    std::vector<std::string>* io_errors) {
+  std::vector<SuppressionNote> notes;
+  for (const LexedFile& file : LoadFiles(paths, io_errors)) {
+    std::vector<SuppressionNote> in_file = ParseSuppressions(file);
+    notes.insert(notes.end(), in_file.begin(), in_file.end());
   }
-  Program program = ParseProgram(files);
+  return notes;
+}
+
+std::string DescribeLockGraph(const std::vector<std::string>& paths) {
+  Program program = ParseProgram(LoadFiles(paths, nullptr));
   Analyzer az(program);
   std::vector<Finding> scratch;
   LockOrderAnalysis analysis(program, az);
@@ -1265,8 +1374,9 @@ std::string DescribeLockGraph(const std::vector<std::string>& paths) {
   }
   out << "# acquisition edges (outer -> inner, first site)\n";
   for (const auto& [key, edge] : analysis.edges()) {
-    out << "  " << edge.from << " -> " << edge.to << "  (" << edge.file << ":"
-        << edge.line << " in " << edge.via << ")\n";
+    out << "  " << edge.from << " -> " << edge.to << "  ("
+        << EffectivePath(edge.file) << ":" << edge.line << " in " << edge.via
+        << ")\n";
   }
   return out.str();
 }
@@ -1316,8 +1426,9 @@ std::string FormatBaseline(const std::vector<Finding>& findings) {
 std::string FormatText(const std::vector<Finding>& findings) {
   std::ostringstream out;
   for (const Finding& f : findings) {
-    out << f.file << ":" << f.line << ": [" << f.analysis << "/" << f.rule
-        << "] " << f.message << "\n";
+    out << f.path << ":" << f.line << ": ["
+        << (f.analysis == f.rule ? f.rule : f.analysis + "/" + f.rule) << "] "
+        << f.message << "\n";
   }
   if (findings.empty()) {
     out << "mmmsa: clean\n";
@@ -1327,29 +1438,6 @@ std::string FormatText(const std::vector<Finding>& findings) {
   }
   return out.str();
 }
-
-namespace {
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-}  // namespace
 
 std::string FormatSarif(const std::vector<Finding>& findings) {
   std::set<std::string> rules;

@@ -13,13 +13,15 @@ void PrintUsage() {
   std::cout
       << "usage: mmmsa [options] <path>...\n"
          "\n"
-         "Whole-program flow-aware static analysis for the mmm tree\n"
-         "(DESIGN.md §6.5). Paths are files or directories; directories\n"
-         "recurse over .h/.hpp/.cc/.cpp.\n"
+         "The mmm tree's static analyzer (DESIGN.md §6.3): whole-program\n"
+         "analyses and token rules in one pass. Paths are files or\n"
+         "directories; directories recurse over .h/.hpp/.cc/.cpp.\n"
          "\n"
          "options:\n"
-         "  --analysis=<name>      run only this analysis (repeatable)\n"
-         "  --list-analyses        print the analysis catalog and exit\n"
+         "  --analysis=<name>      run only this check (repeatable)\n"
+         "  --list-analyses        print the check catalog and exit\n"
+         "  --list-suppressions    print every source suppression with its "
+         "reason\n"
          "  --baseline=<file>      drop findings listed in the ratchet "
          "baseline\n"
          "  --write-baseline=<file> write current findings as a new baseline\n"
@@ -27,6 +29,9 @@ void PrintUsage() {
          "  --dump-lock-graph      print the lock rank table and acquisition "
          "edges\n"
          "  --help                 this text\n"
+         "\n"
+         "Suppress one finding with a comment on its line or the line above:\n"
+         "  // MMMSA(<check-or-rule>): <reason>\n"
          "\n"
          "exit status: 0 clean, 1 findings, 2 usage or I/O error\n";
 }
@@ -48,6 +53,7 @@ int main(int argc, char** argv) {
   mmmsa::SaOptions options;
   std::string baseline, write_baseline, sarif;
   bool dump_lock_graph = false;
+  bool list_suppressions = false;
 
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
@@ -63,6 +69,10 @@ int main(int argc, char** argv) {
     }
     if (arg == "--dump-lock-graph") {
       dump_lock_graph = true;
+      continue;
+    }
+    if (arg == "--list-suppressions") {
+      list_suppressions = true;
       continue;
     }
     if (arg.rfind("--analysis=", 0) == 0) {
@@ -107,11 +117,29 @@ int main(int argc, char** argv) {
   }
 
   std::vector<std::string> io_errors;
+  auto report_io_errors = [&io_errors] {
+    for (const std::string& path : io_errors) {
+      std::cerr << "mmmsa: cannot read '" << path << "'\n";
+    }
+    return io_errors.empty();
+  };
+
+  if (list_suppressions) {
+    std::vector<mmmsa::SuppressionNote> notes =
+        mmmsa::ListSuppressions(paths, &io_errors);
+    for (const mmmsa::SuppressionNote& note : notes) {
+      std::cout << note.path << ":" << note.line << ": [" << note.name << "] "
+                << (note.reason.empty() ? "(no reason given)" : note.reason)
+                << "\n";
+    }
+    std::cout << "mmmsa: " << notes.size() << " suppression"
+              << (notes.size() == 1 ? "" : "s") << "\n";
+    return report_io_errors() ? 0 : 2;
+  }
+
   std::vector<mmmsa::Finding> findings =
       mmmsa::AnalyzePaths(paths, options, &io_errors);
-  for (const std::string& path : io_errors) {
-    std::cerr << "mmmsa: cannot read '" << path << "'\n";
-  }
+  report_io_errors();
 
   if (!write_baseline.empty()) {
     if (!WriteFileOrComplain(write_baseline,

@@ -6,42 +6,6 @@
 namespace mmmsa {
 namespace {
 
-const Token* At(const std::vector<Token>& toks, size_t i) {
-  return i < toks.size() ? &toks[i] : nullptr;
-}
-
-bool IsIdent(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kIdent && t->text == text;
-}
-
-bool IsPunct(const Token* t, std::string_view text) {
-  return t != nullptr && t->kind == TokenKind::kPunct && t->text == text;
-}
-
-bool IsAnyIdent(const Token* t) {
-  return t != nullptr && t->kind == TokenKind::kIdent;
-}
-
-size_t SkipParens(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "(") ++depth;
-    if (toks[i].text == ")" && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
-
-size_t SkipBraces(const std::vector<Token>& toks, size_t open) {
-  int depth = 0;
-  for (size_t i = open; i < toks.size(); ++i) {
-    if (toks[i].kind != TokenKind::kPunct) continue;
-    if (toks[i].text == "{") ++depth;
-    if (toks[i].text == "}" && --depth == 0) return i + 1;
-  }
-  return toks.size();
-}
-
 /// Past a balanced `< ... >` group ("<" at `open`), counting ">>" as two
 /// closers. Gives up (returns open+1) if the group does not close within the
 /// same statement-ish window — `<` was a comparison, not a template.

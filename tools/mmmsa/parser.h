@@ -10,7 +10,7 @@
 
 /// \file
 /// mmmsa's lightweight C++ front end: a declaration and function-body parser
-/// over the mmmlint token stream. It is *not* a C++ parser — it recovers
+/// over the lexer's token stream. It is *not* a C++ parser — it recovers
 /// exactly the structure the whole-program analyses need and skips the rest:
 ///
 ///   - class/struct scopes (including nested and file-local classes), their
@@ -32,11 +32,6 @@
 /// acceptable and an invented one is not.
 
 namespace mmmsa {
-
-using mmmlint::Comment;
-using mmmlint::LexedFile;
-using mmmlint::Token;
-using mmmlint::TokenKind;
 
 /// One statement of a function body.
 struct Stmt {
