@@ -2,12 +2,15 @@
 #define MMM_BENCH_BENCH_UTIL_H_
 
 #include <cstdio>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/env_config.h"
 #include "common/strings.h"
 #include "core/manager.h"
+#include "serialize/json.h"
+#include "storage/env.h"
 #include "workload/experiment.h"
 
 namespace mmm::bench {
@@ -100,6 +103,18 @@ struct BenchKnobs {
         bench_name, models, runs, u3_iterations, samples);
   }
 };
+
+/// Writes `doc` pretty-printed (plus a trailing newline) to `file` in the
+/// working directory and prints a "wrote <file>" line.
+inline void WriteBenchJson(const std::string& file, const JsonValue& doc) {
+  const std::string json = doc.DumpPretty() + "\n";
+  Env::Default()
+      ->WriteFile(file, std::span<const uint8_t>(
+                            reinterpret_cast<const uint8_t*>(json.data()),
+                            json.size()))
+      .Check();
+  std::printf("\nwrote %s\n", file.c_str());
+}
 
 /// Removes the experiment working directory unless MMM_KEEP_ARTIFACTS=1.
 inline void CleanupWorkDir(const BenchKnobs& knobs, const std::string& dir) {

@@ -317,14 +317,7 @@ int main() {
     doc.Set("u3_iterations", static_cast<uint64_t>(knobs.u3_iterations));
     doc.Set("profiles", std::move(profiles_json));
     doc.Set("serving", std::move(serving_json));
-    std::string json = doc.DumpPretty() + "\n";
-    Env::Default()
-        ->WriteFile("BENCH_ttr.json",
-                    std::span<const uint8_t>(
-                        reinterpret_cast<const uint8_t*>(json.data()),
-                        json.size()))
-        .Check();
-    std::printf("\nwrote BENCH_ttr.json\n");
+    WriteBenchJson("BENCH_ttr.json", doc);
     if (!gate_ok) return 1;
   }
 

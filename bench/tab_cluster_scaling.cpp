@@ -182,15 +182,8 @@ int main() {
   doc.Set("requests", static_cast<uint64_t>(requests));
   doc.Set("theta", 0.99);
   doc.Set("rows", std::move(out_rows));
-  std::string json = doc.DumpPretty() + "\n";
-  Env::Default()
-      ->WriteFile("BENCH_cluster.json",
-                  std::span<const uint8_t>(
-                      reinterpret_cast<const uint8_t*>(json.data()),
-                      json.size()))
-      .Check();
+  WriteBenchJson("BENCH_cluster.json", doc);
   std::printf(
-      "\nwrote BENCH_cluster.json\n"
       "(Expected: per-request mean/p99 stay flat while the modeled recovery "
       "makespan falls\n with shard count — sublinearly, since the hottest "
       "chain is pinned to one shard.)\n");

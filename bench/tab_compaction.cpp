@@ -157,15 +157,8 @@ int main() {
   doc.Set("models", static_cast<uint64_t>(knobs.models));
   doc.Set("versions", static_cast<uint64_t>(knobs.u3_iterations + 1));
   doc.Set("rows", std::move(out_rows));
-  std::string json = doc.DumpPretty() + "\n";
-  Env::Default()
-      ->WriteFile("BENCH_compaction.json",
-                  std::span<const uint8_t>(
-                      reinterpret_cast<const uint8_t*>(json.data()),
-                      json.size()))
-      .Check();
+  WriteBenchJson("BENCH_compaction.json", doc);
   std::printf(
-      "\nwrote BENCH_compaction.json\n"
       "(Expected: the 'none' row's TTR climbs with the version index; every "
       "bounded row walks\n at most max_chain_depth + 1 sets, so its TTR "
       "stays flat as the history grows.)\n");

@@ -184,15 +184,8 @@ int main() {
   doc.Set("sets", static_cast<uint64_t>(sets));
   doc.Set("models", static_cast<uint64_t>(knobs.models));
   doc.Set("rows", std::move(out_rows));
-  std::string json = doc.DumpPretty() + "\n";
-  Env::Default()
-      ->WriteFile("BENCH_dedup.json",
-                  std::span<const uint8_t>(
-                      reinterpret_cast<const uint8_t*>(json.data()),
-                      json.size()))
-      .Check();
+  WriteBenchJson("BENCH_dedup.json", doc);
   std::printf(
-      "\nwrote BENCH_dedup.json\n"
       "(Expected: every chunked row shrinks the store by well over 2x — the "
       "fleet shares\n most parameter bytes across snapshots. Fixed-size "
       "blocks stay competitive only\n because this fleet's models never "

@@ -160,15 +160,8 @@ int main() {
   doc.Set("steps", static_cast<uint64_t>(steps));
   doc.Set("seed", seed);
   doc.Set("rows", std::move(out_rows));
-  std::string json = doc.DumpPretty() + "\n";
-  Env::Default()
-      ->WriteFile("BENCH_fleet.json",
-                  std::span<const uint8_t>(
-                      reinterpret_cast<const uint8_t*>(json.data()),
-                      json.size()))
-      .Check();
+  WriteBenchJson("BENCH_fleet.json", doc);
   std::printf(
-      "\nwrote BENCH_fleet.json\n"
       "(Expected: the storage ratio sits well under 1 — delta chains and "
       "dedup keep live bytes\n below an all-snapshots store — and the "
       "crash rows match their clean twins on every\n oracle while adding "

@@ -201,15 +201,8 @@ int main() {
   doc.Set("base_footprint_bytes", base_bytes);
   doc.Set("rows", std::move(out_rows));
   doc.Set("worker_rows", std::move(worker_rows));
-  std::string json = doc.DumpPretty() + "\n";
-  Env::Default()
-      ->WriteFile("BENCH_serving.json",
-                  std::span<const uint8_t>(
-                      reinterpret_cast<const uint8_t*>(json.data()),
-                      json.size()))
-      .Check();
+  WriteBenchJson("BENCH_serving.json", doc);
   std::printf(
-      "\nwrote BENCH_serving.json\n"
       "(Expected: at >= 1x base capacity, derived-set recoveries stop "
       "re-reading the base snapshot\n and mean/p99 modeled cost drop; 'off' "
       "is the cache-less control arm.)\n");

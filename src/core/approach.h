@@ -90,10 +90,18 @@ struct RecoverStats {
   uint64_t simulated_store_nanos = 0;
 };
 
+struct SetDocument;
+
 /// \brief Interface of a multi-model management approach (paper §3).
 ///
 /// Implementations: MMlibBaseApproach (the reference point), BaselineApproach
 /// (§3.2), UpdateApproach (§3.3), ProvenanceApproach (§3.4).
+///
+/// Recovery starts from a set id only at ModelSetManager::Recover /
+/// RecoverModels: the manager fetches the set document once, dispatches on
+/// its recorded approach and captures the request's store statistics once.
+/// The approaches below take that fetched document, check that they saved
+/// it, and fetch only the bases their recursion walks to.
 class ModelSetApproach {
  public:
   virtual ~ModelSetApproach() = default;
@@ -110,13 +118,11 @@ class ModelSetApproach {
   virtual Result<SaveResult> SaveDerived(const ModelSet& set,
                                          const ModelSetUpdateInfo& update) = 0;
 
-  /// Recovers a previously saved set by id. `stats` is optional.
-  virtual Result<ModelSet> Recover(const std::string& set_id,
+  /// Recovers the set described by its already-fetched document. `stats`
+  /// (optional) accumulates the sets walked and models retrained; the
+  /// caller fills in the modeled store time.
+  virtual Result<ModelSet> Recover(const SetDocument& doc,
                                    RecoverStats* stats) = 0;
-
-  Result<ModelSet> Recover(const std::string& set_id) {
-    return Recover(set_id, nullptr);
-  }
 
   /// Recovers only the models at `indices` (any order, duplicates allowed);
   /// the result is parallel to `indices`. This is the paper's deployment
@@ -125,13 +131,8 @@ class ModelSetApproach {
   /// materializing the full set where their format permits (ranged reads of
   /// the parameter blob, per-model diff filtering, subset replay).
   virtual Result<std::vector<StateDict>> RecoverModels(
-      const std::string& set_id, const std::vector<size_t>& indices,
+      const SetDocument& doc, const std::vector<size_t>& indices,
       RecoverStats* stats) = 0;
-
-  Result<std::vector<StateDict>> RecoverModels(
-      const std::string& set_id, const std::vector<size_t>& indices) {
-    return RecoverModels(set_id, indices, nullptr);
-  }
 };
 
 /// Name of the document-store collection holding one document per saved set.

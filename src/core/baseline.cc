@@ -40,38 +40,21 @@ Result<SaveResult> BaselineApproach::SaveDerived(const ModelSet& set,
 }
 
 Result<std::vector<StateDict>> BaselineApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
+    const SetDocument& doc, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not baseline");
-  }
+  MMM_RETURN_NOT_OK(CheckSavedBy(doc, Name()));
+  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context_, doc));
   MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
-                       ReadModelsFromSnapshot(context_, doc, indices));
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
+                       ReadModelsFromSnapshot(context_, doc, spec, indices));
+  if (stats != nullptr) stats->sets_recovered += 1;
   return models;
 }
 
-Result<ModelSet> BaselineApproach::Recover(const std::string& set_id,
+Result<ModelSet> BaselineApproach::Recover(const SetDocument& doc,
                                            RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not baseline");
-  }
+  MMM_RETURN_NOT_OK(CheckSavedBy(doc, Name()));
   MMM_ASSIGN_OR_RETURN(ModelSet set, ReadFullSnapshot(context_, doc));
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
+  if (stats != nullptr) stats->sets_recovered += 1;
   return set;
 }
 

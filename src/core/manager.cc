@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "core/set_codec.h"
+
 namespace mmm {
 
 std::string ApproachTypeName(ApproachType type) {
@@ -184,22 +186,30 @@ Result<CompactionReport> ModelSetManager::CompactChains(
 }
 
 Result<ModelSet> ModelSetManager::Recover(const std::string& set_id,
-                                          RecoverStats* stats) {
-  MMM_ASSIGN_OR_RETURN(JsonValue doc,
-                       doc_store_->Get(kSetCollection, set_id));
-  MMM_ASSIGN_OR_RETURN(std::string approach_name, doc.GetString("approach"));
-  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(approach_name));
-  return approach(type)->Recover(set_id, stats);
+                                          RecoverStats* stats,
+                                          RecoveryCache* cache,
+                                          CacheRequestStats* cache_stats) {
+  StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(doc.approach));
+  MMM_ASSIGN_OR_RETURN(
+      ModelSet set, type == ApproachType::kUpdate
+                        ? update_->RecoverCached(doc, cache, stats, cache_stats)
+                        : approach(type)->Recover(doc, stats));
+  capture.FillRecover(stats);
+  return set;
 }
 
 Result<std::vector<StateDict>> ModelSetManager::RecoverModels(
     const std::string& set_id, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_ASSIGN_OR_RETURN(JsonValue doc,
-                       doc_store_->Get(kSetCollection, set_id));
-  MMM_ASSIGN_OR_RETURN(std::string approach_name, doc.GetString("approach"));
-  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(approach_name));
-  return approach(type)->RecoverModels(set_id, indices, stats);
+  StatsCapture capture(context_);
+  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
+  MMM_ASSIGN_OR_RETURN(ApproachType type, ApproachTypeFromName(doc.approach));
+  MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
+                       approach(type)->RecoverModels(doc, indices, stats));
+  capture.FillRecover(stats);
+  return models;
 }
 
 }  // namespace mmm

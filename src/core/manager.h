@@ -117,13 +117,20 @@ class ModelSetManager {
   Result<SaveResult> SaveDerived(ApproachType type, const ModelSet& set,
                                  const ModelSetUpdateInfo& update);
 
-  /// Recovers any saved set; dispatches on the approach recorded in the
-  /// set's metadata document.
+  /// Recovers any saved set. This is the one recovery entry that starts
+  /// from a set id: it captures the request's store statistics, fetches the
+  /// set document once, dispatches on the approach recorded in it and fills
+  /// `stats` (optional) once. `cache` (optional) serves Update sets through
+  /// UpdateApproach::RecoverCached, adding its counters to `cache_stats`
+  /// (optional); sets of the other approaches never consult it.
   Result<ModelSet> Recover(const std::string& set_id,
-                           RecoverStats* stats = nullptr);
+                           RecoverStats* stats = nullptr,
+                           RecoveryCache* cache = nullptr,
+                           CacheRequestStats* cache_stats = nullptr);
 
   /// Recovers only the models at `indices` from any saved set (the paper's
-  /// post-accident analysis read path); dispatches like Recover.
+  /// post-accident analysis read path); fetches, dispatches and captures
+  /// like Recover.
   Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats = nullptr);

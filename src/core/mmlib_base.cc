@@ -90,22 +90,16 @@ Result<SaveResult> MMlibBaseApproach::SaveDerived(const ModelSet& set,
 }
 
 Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
+    const SetDocument& set_doc, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument set_doc, FetchSetDocument(context_, set_id));
-  if (set_doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   set_doc.approach, "', not mmlib-base");
-  }
+  MMM_RETURN_NOT_OK(CheckSavedBy(set_doc, Name()));
   MMM_RETURN_NOT_OK(CheckIndices(indices, set_doc.num_models));
   // Per-model storage makes selective recovery natural: one document fetch
   // and one blob read per requested model.
   std::vector<StateDict> models;
   models.reserve(indices.size());
   for (size_t index : indices) {
-    std::string model_id = StringFormat("%s-m%05zu", set_id.c_str(), index);
+    std::string model_id = StringFormat("%s-m%05zu", set_doc.id.c_str(), index);
     MMM_ASSIGN_OR_RETURN(JsonValue doc,
                          context_.doc_store->Get(kMmlibModelCollection, model_id));
     MMM_ASSIGN_OR_RETURN(std::string weights_blob, doc.GetString("weights_blob"));
@@ -114,28 +108,18 @@ Result<std::vector<StateDict>> MMlibBaseApproach::RecoverModels(
     MMM_ASSIGN_OR_RETURN(StateDict state, DecodeStateDict(blob));
     models.push_back(std::move(state));
   }
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
+  if (stats != nullptr) stats->sets_recovered += 1;
   return models;
 }
 
-Result<ModelSet> MMlibBaseApproach::Recover(const std::string& set_id,
+Result<ModelSet> MMlibBaseApproach::Recover(const SetDocument& set_doc,
                                             RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument set_doc, FetchSetDocument(context_, set_id));
-  if (set_doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   set_doc.approach, "', not mmlib-base");
-  }
-
+  MMM_RETURN_NOT_OK(CheckSavedBy(set_doc, Name()));
   ModelSet set;
   set.models.resize(set_doc.num_models);
   bool have_spec = false;
   for (size_t index = 0; index < set_doc.num_models; ++index) {
-    std::string model_id = StringFormat("%s-m%05zu", set_id.c_str(), index);
+    std::string model_id = StringFormat("%s-m%05zu", set_doc.id.c_str(), index);
     MMM_ASSIGN_OR_RETURN(JsonValue doc,
                          context_.doc_store->Get(kMmlibModelCollection, model_id));
     if (!have_spec) {
@@ -149,10 +133,7 @@ Result<ModelSet> MMlibBaseApproach::Recover(const std::string& set_id,
     MMM_ASSIGN_OR_RETURN(set.models[index], DecodeStateDict(blob));
   }
   MMM_RETURN_NOT_OK(CheckSetConsistent(set));
-  if (stats != nullptr) {
-    stats->sets_recovered += 1;
-    capture.FillRecover(stats);
-  }
+  if (stats != nullptr) stats->sets_recovered += 1;
   return set;
 }
 

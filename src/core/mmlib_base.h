@@ -27,13 +27,11 @@ class MMlibBaseApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
+  Result<ModelSet> Recover(const SetDocument& doc,
                            RecoverStats* stats) override;
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<std::vector<StateDict>> RecoverModels(const SetDocument& doc,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
  private:
   Result<SaveResult> SaveAllIndividually(const ModelSet& set);

@@ -138,55 +138,42 @@ Result<SaveResult> ProvenanceApproach::SaveDerived(
   return result;
 }
 
-Result<ModelSet> ProvenanceApproach::Recover(const std::string& set_id,
+Result<ModelSet> ProvenanceApproach::Recover(const SetDocument& doc,
                                              RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
-  MMM_ASSIGN_OR_RETURN(ModelSet set,
-                       RecoverChain(set_id, stats, depth_budget));
-  capture.FillRecover(stats);
-  return set;
+  MMM_RETURN_NOT_OK(CheckSavedBy(doc, Name()));
+  return RecoverChain(doc, stats, doc.chain_depth);
 }
 
 Result<std::vector<StateDict>> ProvenanceApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
+    const SetDocument& doc, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
+  MMM_RETURN_NOT_OK(CheckSavedBy(doc, Name()));
   std::vector<size_t> unique = indices;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
-  uint64_t depth_budget = context_.doc_store->Count(kSetCollection) + 1;
+  ArchitectureSpec spec;
   MMM_ASSIGN_OR_RETURN(
       auto by_index,
-      RecoverModelsInternal(set_id, unique, nullptr, stats, depth_budget));
+      RecoverModelsInternal(doc, unique, &spec, stats, doc.chain_depth));
   std::vector<StateDict> out;
   out.reserve(indices.size());
   for (size_t index : indices) out.push_back(by_index.at(index));
-  capture.FillRecover(stats);
   return out;
 }
 
 Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
-    const std::string& set_id, const std::vector<size_t>& unique_indices,
-    const ArchitectureSpec* spec_hint, RecoverStats* stats,
-    uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not provenance");
-  }
+    const SetDocument& doc, const std::vector<size_t>& unique_indices,
+    ArchitectureSpec* spec, RecoverStats* stats, uint64_t hops_left) {
   if (stats != nullptr) stats->sets_recovered += 1;
+  MMM_RETURN_NOT_OK(CheckIndices(unique_indices, doc.num_models));
 
   if (doc.kind == "full") {
-    MMM_RETURN_NOT_OK(CheckIndices(unique_indices, doc.num_models));
-    MMM_ASSIGN_OR_RETURN(std::vector<StateDict> states,
-                         ReadModelsFromSnapshot(context_, doc, unique_indices));
+    // The root snapshot's architecture is the one the whole chain replays
+    // against; it is read here, once per selective recovery.
+    MMM_ASSIGN_OR_RETURN(*spec, ReadSnapshotSpec(context_, doc));
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<StateDict> states,
+        ReadModelsFromSnapshot(context_, doc, *spec, unique_indices));
     std::map<size_t, StateDict> out;
     for (size_t i = 0; i < unique_indices.size(); ++i) {
       out[unique_indices[i]] = std::move(states[i]);
@@ -194,29 +181,15 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
     return out;
   }
   if (doc.kind != "prov") {
-    return Status::Corruption("set ", set_id, " has unexpected kind '", doc.kind,
-                              "'");
-  }
-  MMM_RETURN_NOT_OK(CheckIndices(unique_indices, doc.num_models));
-
-  // Resolve the architecture once at the top of the recursion.
-  ArchitectureSpec resolved_spec;
-  if (spec_hint == nullptr) {
-    SetDocument cursor = doc;
-    uint64_t budget = depth_budget;
-    while (cursor.arch_blob.empty() && !cursor.base_set_id.empty()) {
-      if (budget-- == 0) {
-        return Status::Corruption("provenance chain too deep resolving spec");
-      }
-      MMM_ASSIGN_OR_RETURN(cursor, FetchSetDocument(context_, cursor.base_set_id));
-    }
-    MMM_ASSIGN_OR_RETURN(resolved_spec, ReadSnapshotSpec(context_, cursor));
-    spec_hint = &resolved_spec;
+    return Status::Corruption("set ", doc.id, " has unexpected kind '",
+                              doc.kind, "'");
   }
 
-  MMM_ASSIGN_OR_RETURN(
-      auto models, RecoverModelsInternal(doc.base_set_id, unique_indices,
-                                         spec_hint, stats, depth_budget - 1));
+  MMM_ASSIGN_OR_RETURN(SetDocument base,
+                       FetchBaseDocument(context_, doc, Name(), hops_left));
+  MMM_ASSIGN_OR_RETURN(auto models,
+                       RecoverModelsInternal(base, unique_indices, spec, stats,
+                                             hops_left - 1));
 
   MMM_ASSIGN_OR_RETURN(std::string record_text,
                        CasReadBlobString(context_.file_store, doc.prov_blob));
@@ -243,7 +216,7 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
     MMM_ASSIGN_OR_RETURN(const JsonValue* ref_json, entry.Get("data_ref"));
     MMM_ASSIGN_OR_RETURN(DatasetRef data_ref, DatasetRef::FromJson(*ref_json));
 
-    MMM_ASSIGN_OR_RETURN(Model model, Model::Create(*spec_hint));
+    MMM_ASSIGN_OR_RETURN(Model model, Model::Create(*spec));
     MMM_RETURN_NOT_OK(model.LoadStateDict(it->second));
     TrainPipelineSpec model_pipeline = pipeline;
     model_pipeline.train_config.trainable_layers =
@@ -258,32 +231,24 @@ Result<std::map<size_t, StateDict>> ProvenanceApproach::RecoverModelsInternal(
   return models;
 }
 
-Result<ModelSet> ProvenanceApproach::RecoverChain(const std::string& set_id,
+Result<ModelSet> ProvenanceApproach::RecoverChain(const SetDocument& doc,
                                                   RecoverStats* stats,
-                                                  uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("provenance recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not provenance");
-  }
+                                                  uint64_t hops_left) {
   if (stats != nullptr) stats->sets_recovered += 1;
 
   if (doc.kind == "full") {
     return ReadFullSnapshot(context_, doc);
   }
   if (doc.kind != "prov") {
-    return Status::Corruption("set ", set_id, " has unexpected kind '", doc.kind,
-                              "'");
+    return Status::Corruption("set ", doc.id, " has unexpected kind '",
+                              doc.kind, "'");
   }
 
   // Recursive recovery: materialize the base set, then re-train every
   // updated model on its referenced data (§3.4).
-  MMM_ASSIGN_OR_RETURN(
-      ModelSet set, RecoverChain(doc.base_set_id, stats, depth_budget - 1));
+  MMM_ASSIGN_OR_RETURN(SetDocument base,
+                       FetchBaseDocument(context_, doc, Name(), hops_left));
+  MMM_ASSIGN_OR_RETURN(ModelSet set, RecoverChain(base, stats, hops_left - 1));
   MMM_ASSIGN_OR_RETURN(std::string record_text,
                        CasReadBlobString(context_.file_store, doc.prov_blob));
   MMM_ASSIGN_OR_RETURN(JsonValue record, JsonValue::Parse(record_text));

@@ -44,16 +44,16 @@ class ProvenanceApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
+  /// Both recoveries walk at most the target's recorded chain_depth base
+  /// hops (see FetchBaseDocument).
+  Result<ModelSet> Recover(const SetDocument& doc,
                            RecoverStats* stats) override;
   /// Selective recovery replays only the requested models' updates along
   /// the chain (always exactly — the recover-option caps are a full-set
   /// measurement protocol and do not apply here).
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<std::vector<StateDict>> RecoverModels(const SetDocument& doc,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
   void set_recover_options(const ProvenanceRecoverOptions& options) {
     recover_options_ = options;
@@ -63,12 +63,12 @@ class ProvenanceApproach : public ModelSetApproach {
   }
 
  private:
-  Result<ModelSet> RecoverChain(const std::string& set_id,
-                                RecoverStats* stats, uint64_t depth_budget);
+  Result<ModelSet> RecoverChain(const SetDocument& doc, RecoverStats* stats,
+                                uint64_t hops_left);
+  /// Fills `spec` with the root snapshot's architecture on the way down.
   Result<std::map<size_t, StateDict>> RecoverModelsInternal(
-      const std::string& set_id, const std::vector<size_t>& unique_indices,
-      const ArchitectureSpec* spec_hint, RecoverStats* stats,
-      uint64_t depth_budget);
+      const SetDocument& doc, const std::vector<size_t>& unique_indices,
+      ArchitectureSpec* spec, RecoverStats* stats, uint64_t hops_left);
 
   StoreContext context_;
   ReplayEngine replay_;

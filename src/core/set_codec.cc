@@ -225,9 +225,8 @@ Result<ArchitectureSpec> ReadSnapshotSpec(const StoreContext& context,
 
 Result<std::vector<StateDict>> ReadModelsFromSnapshot(
     const StoreContext& context, const SetDocument& doc,
-    const std::vector<size_t>& indices) {
+    const ArchitectureSpec& spec, const std::vector<size_t>& indices) {
   MMM_RETURN_NOT_OK(CheckIndices(indices, doc.num_models));
-  MMM_ASSIGN_OR_RETURN(ArchitectureSpec spec, ReadSnapshotSpec(context, doc));
 
   // Peek at the blob header: compressed blobs cannot be range-read. Ranged
   // reads go through the CAS helpers so chunked blobs fetch only the chunks
@@ -241,11 +240,12 @@ Result<std::vector<StateDict>> ReadModelsFromSnapshot(
                                         doc.param_blob, 0, prefix_len));
   auto header = ReadParamBlobHeader(prefix);
   if (!header.ok()) {
-    // Compressed or legacy layout: load everything, then select.
-    MMM_ASSIGN_OR_RETURN(ModelSet set, ReadFullSnapshot(context, doc));
+    // Compressed or legacy layout: stream everything, then select.
+    MMM_ASSIGN_OR_RETURN(std::vector<StateDict> models,
+                         ReadSnapshotModels(context, doc, spec));
     std::vector<StateDict> out;
     out.reserve(indices.size());
-    for (size_t index : indices) out.push_back(set.models[index]);
+    for (size_t index : indices) out.push_back(models[index]);
     return out;
   }
 
@@ -282,6 +282,25 @@ Result<SetDocument> FetchSetDocument(const StoreContext& context,
   MMM_ASSIGN_OR_RETURN(JsonValue json,
                        context.doc_store->Get(kSetCollection, set_id));
   return SetDocument::FromJson(json);
+}
+
+Status CheckSavedBy(const SetDocument& doc, const std::string& approach) {
+  if (doc.approach == approach) return Status::OK();
+  return Status::InvalidArgument("set ", doc.id, " was saved by '",
+                                 doc.approach, "', not ", approach);
+}
+
+Result<SetDocument> FetchBaseDocument(const StoreContext& context,
+                                      const SetDocument& doc,
+                                      const std::string& approach,
+                                      uint64_t hops_left) {
+  if (hops_left == 0) {
+    return Status::Corruption(approach, " chain too deep (cycle?) at ", doc.id);
+  }
+  MMM_ASSIGN_OR_RETURN(SetDocument base,
+                       FetchSetDocument(context, doc.base_set_id));
+  MMM_RETURN_NOT_OK(CheckSavedBy(base, approach));
+  return base;
 }
 
 }  // namespace mmm

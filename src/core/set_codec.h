@@ -104,13 +104,14 @@ Result<std::vector<StateDict>> ReadSnapshotModels(
     const StoreContext& context, const SetDocument& doc,
     const ArchitectureSpec& spec, const SnapshotLayerObserver& observe = {});
 
-/// Reads only the models at `indices` from a full snapshot. Uncompressed
-/// parameter blobs are accessed with ranged store reads (one per distinct
-/// model); compressed blobs fall back to a full read. The result is
-/// parallel to `indices`.
+/// Reads only the models at `indices` from a full snapshot whose
+/// architecture `spec` the caller has already read. Uncompressed parameter
+/// blobs are accessed with ranged store reads (one per distinct model);
+/// compressed blobs fall back to streaming the whole blob through
+/// ReadSnapshotModels. The result is parallel to `indices`.
 Result<std::vector<StateDict>> ReadModelsFromSnapshot(
     const StoreContext& context, const SetDocument& doc,
-    const std::vector<size_t>& indices);
+    const ArchitectureSpec& spec, const std::vector<size_t>& indices);
 
 /// Reads the snapshot's architecture.
 Result<ArchitectureSpec> ReadSnapshotSpec(const StoreContext& context,
@@ -131,6 +132,21 @@ Status InsertSetDocument(const StoreContext& context, const SetDocument& doc);
 /// Fetches and parses a set document.
 Result<SetDocument> FetchSetDocument(const StoreContext& context,
                                      const std::string& set_id);
+
+/// InvalidArgument unless `doc` was saved by `approach`. Every approach
+/// checks the document its recovery entry is handed with it.
+Status CheckSavedBy(const SetDocument& doc, const std::string& approach);
+
+/// Fetches `doc`'s base document and checks that `approach` saved it too:
+/// the one step a recursive recovery takes from a set to its base.
+/// `hops_left` is what remains of the walk's budget — the target's recorded
+/// chain_depth at the top, one less per step — so a valid chain never runs
+/// out, and a corrupted base-pointer cycle fails with Corruption after
+/// chain_depth + 1 document reads instead of walking the whole collection.
+Result<SetDocument> FetchBaseDocument(const StoreContext& context,
+                                      const SetDocument& doc,
+                                      const std::string& approach,
+                                      uint64_t hops_left);
 
 /// Encodes the architecture blob content (spec + explicit parameter layout).
 std::string EncodeArchBlob(const ArchitectureSpec& spec);

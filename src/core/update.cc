@@ -151,40 +151,26 @@ Result<SaveResult> UpdateApproach::SaveDerived(const ModelSet& set,
   return result;
 }
 
-Result<ModelSet> UpdateApproach::Recover(const std::string& set_id,
+Result<ModelSet> UpdateApproach::Recover(const SetDocument& doc,
                                          RecoverStats* stats) {
-  return RecoverCached(set_id, /*cache=*/nullptr, stats);
+  return RecoverCached(doc, /*cache=*/nullptr, stats);
 }
 
 Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
-    const std::string& set_id, const std::vector<size_t>& indices,
+    const SetDocument& target, const std::vector<size_t>& indices,
     RecoverStats* stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-
+  MMM_RETURN_NOT_OK(CheckSavedBy(target, Name()));
   // Walk the chain down to the nearest full snapshot.
   std::vector<SetDocument> deltas;
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  // Bounded by the target's recorded depth, not the collection size (see
-  // Recover): a corrupted cycle fails after chain_depth + 1 hops.
-  uint64_t budget = doc.chain_depth + 1;
+  SetDocument doc = target;
+  uint64_t hops_left = target.chain_depth;
   while (doc.kind == "delta") {
-    if (budget-- == 0) {
-      return Status::Corruption("update chain too deep (cycle?) at ", doc.id);
-    }
     deltas.push_back(doc);
-    MMM_ASSIGN_OR_RETURN(doc, FetchSetDocument(context_, doc.base_set_id));
-    if (doc.approach != Name()) {
-      return Status::InvalidArgument("base set ", doc.id, " was saved by '",
-                                     doc.approach, "', not update");
-    }
+    MMM_ASSIGN_OR_RETURN(doc,
+                         FetchBaseDocument(context_, doc, Name(), hops_left--));
   }
   if (doc.kind != "full") {
-    return Status::Corruption("update chain of ", set_id,
+    return Status::Corruption("update chain of ", target.id,
                               " does not end in a full snapshot");
   }
   MMM_RETURN_NOT_OK(CheckIndices(indices, deltas.empty()
@@ -255,8 +241,9 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
         }
       }
     }
-    MMM_ASSIGN_OR_RETURN(std::vector<StateDict> root_states,
-                         ReadModelsFromSnapshot(context_, doc, root_models));
+    MMM_ASSIGN_OR_RETURN(
+        std::vector<StateDict> root_states,
+        ReadModelsFromSnapshot(context_, doc, spec, root_models));
     for (size_t r = 0; r < root_models.size(); ++r) {
       size_t model = root_models[r];
       for (size_t p = 0; p < layout.size(); ++p) {
@@ -283,7 +270,6 @@ Result<std::vector<StateDict>> UpdateApproach::RecoverModels(
     }
     out.push_back(std::move(state));
   }
-  capture.FillRecover(stats);
   return out;
 }
 
@@ -331,15 +317,14 @@ Result<HashTable> ReadStoredHashTable(const StoreContext& context,
 }
 
 /// Walks the delta chain (documents only) down to the root snapshot and
-/// reads its architecture blob — the cheap way to learn a delta set's spec
-/// without touching any parameter or diff blob.
+/// reads its architecture blob — how a set whose memo missed but whose
+/// every layer hit learns its spec without touching a parameter or diff
+/// blob.
 Result<ArchitectureSpec> ResolveChainSpec(const StoreContext& context,
-                                          SetDocument doc, uint64_t budget) {
+                                          SetDocument doc, uint64_t hops_left) {
   while (doc.kind == "delta") {
-    if (budget-- == 0) {
-      return Status::Corruption("update chain too deep (cycle?) at ", doc.id);
-    }
-    MMM_ASSIGN_OR_RETURN(doc, FetchSetDocument(context, doc.base_set_id));
+    MMM_ASSIGN_OR_RETURN(
+        doc, FetchBaseDocument(context, doc, doc.approach, hops_left--));
   }
   if (doc.kind != "full") {
     return Status::Corruption("update chain does not end in a full snapshot");
@@ -347,85 +332,65 @@ Result<ArchitectureSpec> ResolveChainSpec(const StoreContext& context,
   return ReadSnapshotSpec(context, doc);
 }
 
+/// Corruption unless `hashes` has one row per model of `doc`, each as long
+/// as the parameter layout of `spec`. Runs before any assembly or cache
+/// offer, so a damaged hash table can never key a layer.
+Status CheckHashTable(const SetDocument& doc, const HashTable& hashes,
+                      const ArchitectureSpec& spec) {
+  if (hashes.size() != doc.num_models) {
+    return Status::Corruption("hash table of ", doc.id, " covers ",
+                              hashes.size(), " models, document says ",
+                              doc.num_models);
+  }
+  const size_t layers = LayoutOf(spec).size();
+  for (const auto& row : hashes) {
+    if (row.size() != layers) {
+      return Status::Corruption("hash table of ", doc.id,
+                                " disagrees with the parameter layout");
+    }
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
-Result<ModelSet> UpdateApproach::RecoverCached(const std::string& set_id,
+Result<ModelSet> UpdateApproach::RecoverCached(const SetDocument& doc,
                                                RecoveryCache* cache,
                                                RecoverStats* stats,
                                                CacheRequestStats* cache_stats) {
-  MMM_RETURN_NOT_OK(context_.Validate());
-  StatsCapture capture(context_);
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  // The target's recorded chain depth bounds the walk: a valid chain holds
-  // chain_depth + 1 documents down to its full snapshot. Sizing the budget
-  // from the whole collection would let a corrupted base-pointer cycle walk
-  // every set of every approach in a mixed store before failing.
-  uint64_t depth_budget = doc.chain_depth + 1;
+  MMM_RETURN_NOT_OK(CheckSavedBy(doc, Name()));
   CacheRequestStats local;
   MMM_ASSIGN_OR_RETURN(
-      ModelSet set,
-      RecoverCachedFromDoc(doc, cache, stats, &local, depth_budget));
+      ModelSet set, RecoverChain(doc, cache, stats, &local, doc.chain_depth));
   if (cache_stats != nullptr) *cache_stats += local;
-  capture.FillRecover(stats);
   return set;
 }
 
-Result<ModelSet> UpdateApproach::RecoverCachedInternal(
-    const std::string& set_id, RecoveryCache* cache, RecoverStats* stats,
-    CacheRequestStats* cache_stats, uint64_t depth_budget) {
-  if (depth_budget == 0) {
-    return Status::Corruption("update recovery chain too deep (cycle?) at ",
-                              set_id);
-  }
-  // The set document is always fetched live. The document store stays the
-  // single root of trust, so recovering a deleted set fails right here no
-  // matter what the cache still holds — a cache hit can never resurrect a
-  // collected set.
-  MMM_ASSIGN_OR_RETURN(SetDocument doc, FetchSetDocument(context_, set_id));
-  if (doc.approach != Name()) {
-    return Status::InvalidArgument("set ", set_id, " was saved by '",
-                                   doc.approach, "', not update");
-  }
-  return RecoverCachedFromDoc(doc, cache, stats, cache_stats, depth_budget);
-}
-
-Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
-    const SetDocument& doc, RecoveryCache* cache, RecoverStats* stats,
-    CacheRequestStats* cache_stats, uint64_t depth_budget) {
+Result<ModelSet> UpdateApproach::RecoverChain(const SetDocument& doc,
+                                              RecoveryCache* cache,
+                                              RecoverStats* stats,
+                                              CacheRequestStats* cache_stats,
+                                              uint64_t hops_left) {
   const std::string& set_id = doc.id;
   if (stats != nullptr) stats->sets_recovered += 1;
 
   // Steps 1-3a consult the cache. Without one, recovery goes straight to
-  // step 3b: it reads no hash blob, walks no chain spec, and touches exactly
-  // the documents and blobs it materializes.
+  // step 3b: it reads no hash blob and touches exactly the documents and
+  // blobs it materializes.
   HashTable hashes;
   ArchitectureSpec spec;
+  bool have_spec = false;
   if (cache != nullptr) {
-    // Step 1: resolve the set's per-layer content hashes and architecture,
-    // memoized so a hot set costs no hash-blob or chain-walk reads.
+    // Step 1: resolve the set's per-layer content hashes, memoized (with
+    // the architecture) so a hot set costs no hash-blob read. A miss reads
+    // only the hash blob; the architecture comes from the base recursion.
     if (cache->GetSetMeta(set_id, &hashes, &spec)) {
       cache_stats->meta_hits += 1;
+      have_spec = true;
+      MMM_RETURN_NOT_OK(CheckHashTable(doc, hashes, spec));
     } else {
       cache_stats->meta_misses += 1;
       MMM_ASSIGN_OR_RETURN(hashes, ReadStoredHashTable(context_, doc));
-      MMM_ASSIGN_OR_RETURN(spec,
-                           ResolveChainSpec(context_, doc, depth_budget));
-    }
-    ParamLayout layout = LayoutOf(spec);
-    if (hashes.size() != doc.num_models) {
-      return Status::Corruption("hash table of ", set_id, " covers ",
-                                hashes.size(), " models, document says ",
-                                doc.num_models);
-    }
-    for (const auto& row : hashes) {
-      if (row.size() != layout.size()) {
-        return Status::Corruption("hash table of ", set_id,
-                                  " disagrees with the parameter layout");
-      }
     }
 
     // Step 2: probe every layer by content hash. Layers shared with an
@@ -434,8 +399,8 @@ Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
     std::vector<std::vector<Tensor>> cached_layers(hashes.size());
     bool complete = true;
     for (size_t m = 0; m < hashes.size(); ++m) {
-      cached_layers[m].resize(layout.size());
-      for (size_t p = 0; p < layout.size(); ++p) {
+      cached_layers[m].resize(hashes[m].size());
+      for (size_t p = 0; p < hashes[m].size(); ++p) {
         if (cache->GetLayer(hashes[m][p], &cached_layers[m][p])) {
           cache_stats->layer_hits += 1;
         } else {
@@ -445,9 +410,15 @@ Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
       }
     }
 
-    // Step 3a: full hit — assemble without touching the file store.
+    // Step 3a: full hit — assemble without touching a parameter or diff
+    // blob. Only a memo miss has to walk the chain for the architecture.
     if (complete) {
+      if (!have_spec) {
+        MMM_ASSIGN_OR_RETURN(spec, ResolveChainSpec(context_, doc, hops_left));
+        MMM_RETURN_NOT_OK(CheckHashTable(doc, hashes, spec));
+      }
       cache_stats->sets_from_cache += 1;
+      ParamLayout layout = LayoutOf(spec);
       ModelSet set;
       set.spec = spec;
       set.models.resize(hashes.size());
@@ -469,6 +440,10 @@ Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
   ModelSet set;
   if (doc.kind == "full") {
     if (cache == nullptr) return ReadFullSnapshot(context_, doc);
+    if (!have_spec) {
+      MMM_ASSIGN_OR_RETURN(spec, ReadSnapshotSpec(context_, doc));
+      MMM_RETURN_NOT_OK(CheckHashTable(doc, hashes, spec));
+    }
     // Each finished layer goes to the cache the moment its bytes are
     // complete — a concurrent request for a sibling set can hit layers of
     // this snapshot while later models are still streaming in. This offer
@@ -494,12 +469,19 @@ Result<ModelSet> UpdateApproach::RecoverCachedFromDoc(
     return Status::Corruption("set ", set_id, " has unexpected kind '",
                               doc.kind, "'");
   }
+  // Like the target's, the base document is fetched live: the document
+  // store stays the single root of trust, so a cache hit can never
+  // resurrect a collected set.
+  MMM_ASSIGN_OR_RETURN(SetDocument base,
+                       FetchBaseDocument(context_, doc, Name(), hops_left));
   MMM_ASSIGN_OR_RETURN(
-      set, RecoverCachedInternal(doc.base_set_id, cache, stats, cache_stats,
-                                 depth_budget - 1));
+      set, RecoverChain(base, cache, stats, cache_stats, hops_left - 1));
   if (set.models.size() != doc.num_models) {
     return Status::Corruption("base set size ", set.models.size(),
                               " != derived size ", doc.num_models);
+  }
+  if (cache != nullptr && !have_spec) {
+    MMM_RETURN_NOT_OK(CheckHashTable(doc, hashes, set.spec));
   }
   MMM_RETURN_NOT_OK(ApplyDelta(doc, &set));
   if (cache == nullptr) return set;

@@ -9,8 +9,6 @@
 
 namespace mmm {
 
-struct SetDocument;
-
 /// \brief Options of the Update approach.
 struct UpdateApproachOptions {
   /// Write a full snapshot (instead of a delta) whenever the chain since the
@@ -44,19 +42,18 @@ class UpdateApproach : public ModelSetApproach {
   Result<SaveResult> SaveInitial(const ModelSet& set) override;
   Result<SaveResult> SaveDerived(const ModelSet& set,
                                  const ModelSetUpdateInfo& update) override;
-  Result<ModelSet> Recover(const std::string& set_id,
+  Result<ModelSet> Recover(const SetDocument& doc,
                            RecoverStats* stats) override;
   /// Selective recovery walks the delta chain once, keeping only the newest
   /// version of each requested (model, layer) pair, and reads the remaining
   /// parameters from the root snapshot with ranged store reads — no full set
   /// is ever materialized.
-  Result<std::vector<StateDict>> RecoverModels(const std::string& set_id,
+  Result<std::vector<StateDict>> RecoverModels(const SetDocument& doc,
                                                const std::vector<size_t>& indices,
                                                RecoverStats* stats) override;
-  using ModelSetApproach::Recover;
-  using ModelSetApproach::RecoverModels;
 
-  /// Recovery through a layer-granular cache (the serving read path).
+  /// Recovery through a layer-granular cache (the serving read path);
+  /// ModelSetManager::Recover routes Update sets here when handed a cache.
   ///
   /// Decomposes Recover into cacheable per-layer steps: the set's stored
   /// per-layer content hashes are resolved first (memoized via
@@ -67,32 +64,29 @@ class UpdateApproach : public ModelSetApproach {
   /// decoded once, and each derived set costs only its own diff blob — and
   /// every materialized layer is offered back to the cache.
   ///
+  /// One recursion serves both paths. It fetches each base document once
+  /// and reads the root's architecture once: a derived set takes its spec
+  /// from its base's recovery, and only a set whose memo missed while every
+  /// layer hit walks the chain for it.
+  ///
   /// Bit-exactness: cached tensors are keyed by their SHA-256 content hash,
   /// so assembly reproduces exactly the bytes an uncached recovery returns.
   /// With `cache == nullptr` (which is how Recover runs) no hash blob is
   /// read and no cache step runs: a full snapshot is streamed, a delta is
   /// its base plus the applied diff.
-  Result<ModelSet> RecoverCached(const std::string& set_id,
-                                 RecoveryCache* cache,
+  Result<ModelSet> RecoverCached(const SetDocument& doc, RecoveryCache* cache,
                                  RecoverStats* stats = nullptr,
                                  CacheRequestStats* cache_stats = nullptr);
 
  private:
   Result<SaveResult> SaveSnapshotWithHashes(const ModelSet& set,
                                             const std::string& base_set_id);
-  Result<ModelSet> RecoverCachedInternal(const std::string& set_id,
-                                         RecoveryCache* cache,
-                                         RecoverStats* stats,
-                                         CacheRequestStats* cache_stats,
-                                         uint64_t depth_budget);
-  /// Continues recovery from an already-fetched document, so the top-level
-  /// entry point fetches the target once and sizes the recursion budget
-  /// from its recorded chain_depth without a second fetch.
-  Result<ModelSet> RecoverCachedFromDoc(const SetDocument& doc,
-                                        RecoveryCache* cache,
-                                        RecoverStats* stats,
-                                        CacheRequestStats* cache_stats,
-                                        uint64_t depth_budget);
+  /// The recursion behind RecoverCached; `hops_left` bounds the base
+  /// fetches still allowed (see FetchBaseDocument).
+  Result<ModelSet> RecoverChain(const SetDocument& doc, RecoveryCache* cache,
+                                RecoverStats* stats,
+                                CacheRequestStats* cache_stats,
+                                uint64_t hops_left);
   /// Reads, decodes, and applies `doc`'s diff blob onto `set` in place.
   Status ApplyDelta(const SetDocument& doc, ModelSet* set);
 

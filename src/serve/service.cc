@@ -105,20 +105,9 @@ Result<ModelSet> ModelSetService::RecoverLocked(const std::string& set_id,
                                                 ServeResult* result) {
   RecoverStats stats;
   CacheRequestStats cache_stats;
-  Result<ModelSet> recovered = [&]() -> Result<ModelSet> {
-    if (!options_.cache_enabled) {
-      // Straight through the manager — bit-identical, byte-for-byte, to a
-      // direct Recover call (no extra document fetch, no cache probes).
-      return manager_->Recover(set_id, &stats);
-    }
-    MMM_ASSIGN_OR_RETURN(SetDocument doc,
-                         FetchSetDocument(manager_->context(), set_id));
-    if (doc.approach == "update") {
-      return manager_->update_approach()->RecoverCached(set_id, &adapter_,
-                                                        &stats, &cache_stats);
-    }
-    return manager_->Recover(set_id, &stats);
-  }();
+  Result<ModelSet> recovered = manager_->Recover(
+      set_id, &stats, options_.cache_enabled ? &adapter_ : nullptr,
+      &cache_stats);
   if (result != nullptr) {
     result->modeled_store_nanos = stats.simulated_store_nanos;
     result->sets_walked = stats.sets_recovered;
@@ -164,7 +153,7 @@ Status ModelSetService::PinSet(const std::string& set_id) {
   // Materialize through the cache; this also records the set's hash table
   // in the hash index, aligned m-major with set.models.
   MMM_ASSIGN_OR_RETURN(ModelSet set, manager_->update_approach()->RecoverCached(
-                                         set_id, &adapter_, nullptr, nullptr));
+                                         doc, &adapter_));
   std::vector<Sha256Digest> hashes = KnownHashesOf(set_id);
   size_t layers_per_model = set.models.empty() ? 0 : set.models[0].size();
   if (hashes.size() != set.models.size() * layers_per_model) {

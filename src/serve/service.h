@@ -61,9 +61,10 @@ struct ServeResult {
 /// shared between a base set and its derived sets are fetched and decoded
 /// once; hot sets can be pinned.
 ///
-/// Sets saved by the other approaches are served through the manager's
-/// ordinary (uncached) Recover — every approach is servable, Update gets
-/// the cache speedup.
+/// Every request goes through the manager's one recovery entry,
+/// ModelSetManager::Recover, handed the cache adapter when the cache is
+/// enabled. The manager consults the cache for Update sets only: every
+/// approach is servable, Update gets the cache speedup.
 ///
 /// Deletion coherence: DeleteSet/RetainOnly must go through the service,
 /// which serializes them against in-flight recoveries, refuses to delete
@@ -162,10 +163,11 @@ class ModelSetService {
   /// @}
 
  private:
-  /// RecoveryCache view of the service handed to RecoverCached: layers go
-  /// to the sharded LayerCache, set metadata to the entry-bounded memo.
-  /// Under streaming recovery (DESIGN.md §12) PutLayer fires from inside
-  /// the blob decode — each finished layer is admitted while later models
+  /// RecoveryCache view of the service handed to the manager's Recover
+  /// (and, by PinSet, to UpdateApproach::RecoverCached): layers go to the
+  /// sharded LayerCache, set metadata to the entry-bounded memo. A full
+  /// snapshot's PutLayer fires from inside its streamed blob decode
+  /// (DESIGN.md §12) — each finished layer is admitted while later models
   /// of the same blob are still streaming, so a concurrent request for a
   /// sibling set can hit layers of a recovery that has not returned yet.
   /// Both calls are therefore concurrent across worker lanes; the sharded

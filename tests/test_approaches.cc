@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "core/manager.h"
+#include "core/set_codec.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -129,8 +130,14 @@ TEST_P(ApproachSweep, WrongApproachRejectsForeignSet) {
   Save(GetParam(), nullptr);
   for (ApproachType other : kAllApproaches) {
     if (other == GetParam()) continue;
+    ASSERT_OK_AND_ASSIGN(
+        SetDocument doc,
+        FetchSetDocument(manager_->context(), heads_[GetParam()]));
+    EXPECT_TRUE(
+        manager_->approach(other)->Recover(doc, nullptr).status()
+            .IsInvalidArgument());
     EXPECT_TRUE(manager_->approach(other)
-                    ->Recover(heads_[GetParam()])
+                    ->RecoverModels(doc, {0}, nullptr)
                     .status()
                     .IsInvalidArgument());
   }

@@ -366,11 +366,58 @@ TEST_F(CorruptChainTest, BasePointerCycleFailsCleanlyWithBoundedWalk) {
   EXPECT_TRUE(manager_->RecoverModels(ids[3], {0}).status().IsCorruption());
 
   // The cached read path, too.
+  ASSERT_OK_AND_ASSIGN(SetDocument doc,
+                       FetchSetDocument(manager_->context(), ids[3]));
   CacheRequestStats cache_stats;
   EXPECT_TRUE(manager_->update_approach()
-                  ->RecoverCached(ids[3], nullptr, nullptr, &cache_stats)
+                  ->RecoverCached(doc, nullptr, nullptr, &cache_stats)
                   .status()
                   .IsCorruption());
+}
+
+TEST_F(CorruptChainTest, ProvenanceCycleFailsWithinChainDepthDocumentReads) {
+  // A mixed store again, this time around a provenance chain: the budget
+  // is the target's recorded chain_depth, not the collection size.
+  ASSERT_OK(
+      manager_->SaveInitial(ApproachType::kBaseline, scenario_->current_set())
+          .status());
+  std::vector<std::string> update_ids{
+      manager_->SaveInitial(ApproachType::kUpdate, scenario_->current_set())
+          .ValueOrDie()
+          .set_id};
+  std::vector<std::string> ids{
+      manager_
+          ->SaveInitial(ApproachType::kProvenance, scenario_->current_set())
+          .ValueOrDie()
+          .set_id};
+  for (int i = 0; i < 3; ++i) {
+    ModelSetUpdateInfo update = scenario_->AdvanceCycle().ValueOrDie();
+    for (auto [type, chain] : {std::pair{ApproachType::kUpdate, &update_ids},
+                               std::pair{ApproachType::kProvenance, &ids}}) {
+      ModelSetUpdateInfo derived = update;
+      derived.base_set_id = chain->back();
+      chain->push_back(manager_->SaveDerived(type, scenario_->current_set(),
+                                             derived)
+                           .ValueOrDie()
+                           .set_id);
+    }
+  }
+
+  // ids[1] -> ids[3] -> ids[2] -> ids[1]; ids[3] records chain_depth 3.
+  CorruptBasePointer(ids[1], ids[3]);
+
+  const uint64_t chain_depth = 3;
+  uint64_t before = manager_->doc_store()->stats().read_ops;
+  Status st = manager_->Recover(ids[3]).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_NE(st.message().find("too deep"), std::string::npos)
+      << st.ToString();
+  EXPECT_LE(manager_->doc_store()->stats().read_ops - before, chain_depth + 1);
+
+  before = manager_->doc_store()->stats().read_ops;
+  st = manager_->RecoverModels(ids[3], {0}).status();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
+  EXPECT_LE(manager_->doc_store()->stats().read_ops - before, chain_depth + 1);
 }
 
 TEST_F(CorruptChainTest, SelfCycleFailsImmediately) {

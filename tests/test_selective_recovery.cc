@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "core/manager.h"
+#include "storage/env.h"
 #include "tests/test_util.h"
 #include "workload/scenario.h"
 
@@ -181,6 +184,75 @@ TEST_F(SelectiveRecoveryTest, SelectiveRecoveryFromCompressedStore) {
                        manager->RecoverModels(id, {4}));
   EXPECT_TRUE(
       recovered[0][2].second.Equals(scenario.current_set().models[4][2].second));
+}
+
+/// Counts whole and ranged reads of architecture blobs.
+class ArchReadCountingEnv : public InMemoryEnv {
+ public:
+  Result<std::vector<uint8_t>> ReadFile(const std::string& path) override {
+    Count(path);
+    return InMemoryEnv::ReadFile(path);
+  }
+  Result<std::vector<uint8_t>> ReadFileRange(const std::string& path,
+                                             uint64_t offset,
+                                             uint64_t length) override {
+    Count(path);
+    return InMemoryEnv::ReadFileRange(path, offset, length);
+  }
+  uint64_t arch_reads() const { return arch_reads_.load(); }
+  void ResetCount() { arch_reads_ = 0; }
+
+ private:
+  void Count(const std::string& path) {
+    if (path.ends_with(".arch.json")) arch_reads_ += 1;
+  }
+  std::atomic<uint64_t> arch_reads_{0};
+};
+
+// A selective recovery reads the root's architecture blob exactly once:
+// the chain walk reads it, and the ranged (or, for compressed blobs,
+// streamed) parameter read reuses it.
+TEST(SelectiveRecoveryReads, OneArchitectureReadPerSelectiveRecovery) {
+  for (Compression compression : {Compression::kNone, Compression::kShuffleLz}) {
+    SCOPED_TRACE(CompressionName(compression));
+    ArchReadCountingEnv env;
+    ScenarioConfig config = ScenarioConfig::Battery(8);
+    config.samples_per_dataset = 32;
+    MultiModelScenario scenario(config);
+    ASSERT_OK(scenario.Init());
+    ModelSetManager::Options options;
+    options.root_dir = "/store";
+    options.env = &env;
+    options.resolver = &scenario;
+    options.blob_compression = compression;
+    ASSERT_OK_AND_ASSIGN(auto manager, ModelSetManager::Open(options));
+    const ApproachType types[] = {ApproachType::kBaseline,
+                                  ApproachType::kUpdate,
+                                  ApproachType::kProvenance};
+    std::map<ApproachType, std::string> heads;
+    for (ApproachType type : types) {
+      ASSERT_OK_AND_ASSIGN(SaveResult saved,
+                           manager->SaveInitial(type, scenario.current_set()));
+      heads[type] = saved.set_id;
+    }
+    for (int cycle = 0; cycle < 2; ++cycle) {
+      ASSERT_OK_AND_ASSIGN(ModelSetUpdateInfo update, scenario.AdvanceCycle());
+      for (ApproachType type : types) {
+        ModelSetUpdateInfo derived = update;
+        derived.base_set_id = heads[type];
+        ASSERT_OK_AND_ASSIGN(
+            SaveResult saved,
+            manager->SaveDerived(type, scenario.current_set(), derived));
+        heads[type] = saved.set_id;
+      }
+    }
+    for (ApproachType type : types) {
+      SCOPED_TRACE(ApproachTypeName(type));
+      env.ResetCount();
+      ASSERT_OK(manager->RecoverModels(heads[type], {1, 3}).status());
+      EXPECT_EQ(env.arch_reads(), 1u);
+    }
+  }
 }
 
 }  // namespace

@@ -115,12 +115,12 @@ TEST_F(SetCodecTest, ReadModelsFromSnapshotUsesRangedReads) {
   ASSERT_OK(WriteFullSnapshot(context_, "set-r", set, &doc));
   file_store_.ResetStats();
   ASSERT_OK_AND_ASSIGN(std::vector<StateDict> models,
-                       ReadModelsFromSnapshot(context_, doc, {7, 13}));
+                       ReadModelsFromSnapshot(context_, doc, set.spec, {7, 13}));
   ASSERT_EQ(models.size(), 2u);
   EXPECT_TRUE(models[0][0].second.Equals(set.models[7][0].second));
   EXPECT_TRUE(models[1][0].second.Equals(set.models[13][0].second));
-  // Bytes read: arch blob + header peek + two model slices, far below the
-  // whole 20-model blob.
+  // Bytes read: header peek + two model slices, far below the whole
+  // 20-model blob; the caller already holds the architecture.
   EXPECT_LT(file_store_.stats().bytes_read, 20u * 4993 * 4 / 2);
 }
 
@@ -132,7 +132,7 @@ TEST_F(SetCodecTest, ReadModelsFromCompressedSnapshotFallsBack) {
   doc.id = "set-c";
   ASSERT_OK(WriteFullSnapshot(compressed, "set-c", set, &doc));
   ASSERT_OK_AND_ASSIGN(std::vector<StateDict> models,
-                       ReadModelsFromSnapshot(compressed, doc, {2}));
+                       ReadModelsFromSnapshot(compressed, doc, set.spec, {2}));
   EXPECT_TRUE(models[0][1].second.Equals(set.models[2][1].second));
 }
 

@@ -473,10 +473,11 @@ class RecoveryAccountingTest : public ::testing::Test {
   std::vector<std::string> chain_;
 };
 
-/// An uncached recovery at depth d reads d+1 documents, the root's
-/// architecture and parameter blobs and d diff blobs — each exactly once,
-/// with exactly its stored bytes — and no hash blob. Its modeled store time
-/// is the latency model summed over exactly those reads.
+/// An uncached recovery at depth d, entered by set id through the manager,
+/// reads d+1 documents, the root's architecture and parameter blobs and d
+/// diff blobs — each exactly once, with exactly its stored bytes — and no
+/// hash blob. Its modeled store time is the latency model summed over
+/// exactly those reads.
 TEST_F(RecoveryAccountingTest, UncachedUpdateRecoveryReadsExactlyItsChain) {
   const SetupProfile profile = SetupProfile::Server();
   for (size_t depth = 0; depth <= kDepth; ++depth) {
@@ -502,8 +503,8 @@ TEST_F(RecoveryAccountingTest, UncachedUpdateRecoveryReadsExactlyItsChain) {
     StoreStats docs_before = manager_->doc_store()->stats();
     StoreStats files_before = manager_->file_store()->stats();
     RecoverStats stats;
-    ASSERT_OK_AND_ASSIGN(ModelSet set, manager_->update_approach()->Recover(
-                                           chain_[depth], &stats));
+    ASSERT_OK_AND_ASSIGN(ModelSet set,
+                         manager_->Recover(chain_[depth], &stats));
     StoreStats docs = manager_->doc_store()->stats() - docs_before;
     StoreStats files = manager_->file_store()->stats() - files_before;
 
@@ -517,10 +518,35 @@ TEST_F(RecoveryAccountingTest, UncachedUpdateRecoveryReadsExactlyItsChain) {
   }
 }
 
-/// A cold cached recovery resolves every chain member's metadata from the
-/// store: one meta miss and one hash-blob read per member, on top of the
-/// blobs the uncached recovery reads and the architecture re-read of each
-/// member's chain-spec walk.
+/// The service reads each chain document exactly once per recovery too,
+/// with the cache off (straight through the manager) and on (a fresh, cold
+/// cache per depth).
+TEST_F(RecoveryAccountingTest, ServedRecoveryReadsEachDocumentOnce) {
+  for (bool cache_enabled : {false, true}) {
+    for (size_t depth = 0; depth <= kDepth; ++depth) {
+      SCOPED_TRACE(::testing::Message() << "cache=" << cache_enabled
+                                        << " depth=" << depth);
+      uint64_t want_bytes = 0;
+      for (size_t k = 0; k <= depth; ++k) want_bytes += DocBytes(chain_[k]);
+      ModelSetServiceOptions options;
+      options.cache_enabled = cache_enabled;
+      ModelSetService service(manager_.get(), options);
+      StoreStats before = manager_->doc_store()->stats();
+      ServeResult result;
+      ASSERT_OK(service.Recover(chain_[depth], &result).status());
+      StoreStats docs = manager_->doc_store()->stats() - before;
+      EXPECT_EQ(docs.read_ops, depth + 1);
+      EXPECT_EQ(docs.bytes_read, want_bytes);
+      EXPECT_EQ(result.sets_walked, depth + 1);
+    }
+  }
+}
+
+/// A cold cached recovery resolves every chain member's hash table from
+/// the store: one meta miss and one hash-blob read per member, on top of
+/// the blobs the uncached recovery reads. Each member's document is read
+/// once, and the root's architecture once — derived sets take their spec
+/// from their base's recovery instead of walking the chain for it.
 TEST_F(RecoveryAccountingTest, ColdCachedRecoveryReadsEachHashBlobOnce) {
   ColdCache cache;
   for (size_t depth = 0; depth <= kDepth; ++depth) {
@@ -531,25 +557,30 @@ TEST_F(RecoveryAccountingTest, ColdCachedRecoveryReadsEachHashBlobOnce) {
       want_ops += 1;
       want_bytes += bytes;
     };
+    file_read(BlobBytes(Doc(0).arch_blob));
     file_read(BlobBytes(Doc(0).param_blob));
+    uint64_t want_doc_bytes = 0;
     for (size_t k = 0; k <= depth; ++k) {
+      want_doc_bytes += DocBytes(chain_[k]);
       file_read(BlobBytes(Doc(k).hash_blob));
-      file_read(BlobBytes(Doc(0).arch_blob));
       if (k > 0) file_read(BlobBytes(Doc(k).diff_blob));
     }
 
-    StoreStats before = manager_->file_store()->stats();
+    StoreStats files_before = manager_->file_store()->stats();
+    StoreStats docs_before = manager_->doc_store()->stats();
     CacheRequestStats cache_stats;
-    ASSERT_OK_AND_ASSIGN(
-        ModelSet set, manager_->update_approach()->RecoverCached(
-                          chain_[depth], &cache, nullptr, &cache_stats));
-    StoreStats files = manager_->file_store()->stats() - before;
+    ASSERT_OK_AND_ASSIGN(ModelSet set, manager_->Recover(chain_[depth], nullptr,
+                                                         &cache, &cache_stats));
+    StoreStats files = manager_->file_store()->stats() - files_before;
+    StoreStats docs = manager_->doc_store()->stats() - docs_before;
 
     EXPECT_EQ(cache_stats.meta_misses, depth + 1);
     EXPECT_EQ(cache_stats.meta_hits, 0u);
     EXPECT_EQ(cache_stats.sets_from_cache, 0u);
     EXPECT_EQ(files.read_ops, want_ops);
     EXPECT_EQ(files.bytes_read, want_bytes);
+    EXPECT_EQ(docs.read_ops, depth + 1);
+    EXPECT_EQ(docs.bytes_read, want_doc_bytes);
   }
 }
 
